@@ -2,7 +2,8 @@
 
 Every subcommand reads and writes the canonical JSON schemas (TSV on
 request), is reproducible from its recorded seed, and exits 0 on success,
-1 on a property violation, 2 on usage errors.
+1 on a property violation, 2 on usage errors and unreadable or malformed
+input files.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .core import (
     recover_from_resume,
 )
 from .metrize import (
-    Pseudometric,
-    build_lp,
     closure,
     induce_system,
     integral_witness_search,
@@ -37,19 +36,29 @@ from .metrize import (
     verify_witness,
 )
 from .rational import Q, rational_to_text
-from .ratlp import solve_feasibility
 
 FIXTURES = importlib.resources.files("pathsystems") / "fixtures"
 
 
-def _load(path):
+def _read(path, loader):
+    """The document in the JSON file `path`, converted by a jsonio loader.
+
+    An unreadable file, bad JSON or a malformed document ends the run with
+    the one line `error: FILE: message` on stderr and exit code 2.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return loader(json.load(fh))
     except json.JSONDecodeError as e:
-        raise SystemExit(f"error: {path}:{e.lineno}:{e.colno}: {e.msg}") from e
+        message = f"{path}:{e.lineno}:{e.colno}: {e.msg}"
     except OSError as e:
-        raise SystemExit(f"error: {path}: {e.strerror}") from e
+        message = f"{path}: {e.strerror}"
+    except KeyError as e:
+        message = f"{path}: missing key {e}"
+    except (AttributeError, TypeError, ValueError) as e:
+        message = f"{path}: {e}"
+    print(f"error: {message}", file=_sys.stderr)
+    raise SystemExit(2)
 
 
 def _tsv_cell(value):
@@ -77,7 +86,7 @@ def _emit(doc, fmt):
 
 
 def cmd_check(args):
-    sys = jsonio.system_from_json(_load(args.system))
+    sys = _read(args.system, jsonio.system_from_json)
     verdict = is_consistent(sys)
     report = {"consistent": bool(verdict), "diameter": diameter(sys)}
     if not verdict:
@@ -87,7 +96,7 @@ def cmd_check(args):
             "reason": verdict.reason,
         }
     if args.graph:
-        g = jsonio.graph_from_json(_load(args.graph))
+        g = _read(args.graph, jsonio.graph_from_json)
         report["neighborly"] = is_neighborly(sys, g)
     _emit(report, args.format)
     return 0 if verdict else 1
@@ -95,11 +104,11 @@ def cmd_check(args):
 
 def cmd_resume(args):
     if args.action == "extract":
-        sys = jsonio.system_from_json(_load(args.input))
+        sys = _read(args.input, jsonio.system_from_json)
         _emit(jsonio.resume_to_json(extract_resume(sys)), args.format)
         return 0
     if args.action == "recover":
-        f = jsonio.resume_from_json(_load(args.input))
+        f = _read(args.input, jsonio.resume_from_json)
         try:
             sys = recover_from_resume(f)
         except ResumeRecoveryError as e:
@@ -107,7 +116,7 @@ def cmd_resume(args):
             return 1
         _emit(jsonio.system_to_json(sys), args.format)
         return 0
-    sys = jsonio.system_from_json(_load(args.input))
+    sys = _read(args.input, jsonio.system_from_json)
     resumes = all_resumes(sys)
     doc = {
         "n": sys.n,
@@ -119,21 +128,13 @@ def cmd_resume(args):
 
 
 def cmd_metrize_test(args):
-    sys = jsonio.system_from_json(_load(args.system))
+    sys = _read(args.system, jsonio.system_from_json)
     if args.mode == "metric":
         rho = is_metric(sys)
         report = {"mode": "metric", "metric": rho is not None}
         if rho is not None:
             report["pseudometric"] = jsonio.pseudometric_to_json(rho)
-    elif args.mode == "strict":
-        res = solve_feasibility(build_lp(sys, "strict"))
-        report = {"mode": "strict", "strictly_metric": res.feasible}
-        if res.feasible:
-            idx_vals = dict(zip(sorted(sys.paths), res.solution))
-            report["pseudometric"] = jsonio.pseudometric_to_json(
-                Pseudometric(sys.n, idx_vals)
-            )
-    else:
+    else:  # "strict" is an alias of "pseudo"
         res = is_strictly_metric(sys)
         report = {"mode": "pseudo", "strictly_metric": res.strict}
         if res.strict:
@@ -145,7 +146,7 @@ def cmd_metrize_test(args):
 
 
 def cmd_metrize_witness(args):
-    ts = jsonio.tripleset_from_json(_load(args.tripleset))
+    ts = _read(args.tripleset, jsonio.tripleset_from_json)
     res = is_realizable(ts)
     report = {"realizable": res.realizable}
     if res.realizable:
@@ -158,7 +159,7 @@ def cmd_metrize_witness(args):
 
 
 def cmd_metrize_realize(args):
-    sys = jsonio.system_from_json(_load(args.system))
+    sys = _read(args.system, jsonio.system_from_json)
     res = is_strictly_metric(sys)
     if not res.strict:
         _emit(
@@ -172,7 +173,7 @@ def cmd_metrize_realize(args):
 
 
 def cmd_induce(args):
-    w = jsonio.weights_from_json(_load(args.weights))
+    w = _read(args.weights, jsonio.weights_from_json)
     res = induce_system(w)
     report = {"unique": res.unique}
     if res.unique:
@@ -185,14 +186,14 @@ def cmd_induce(args):
 
 
 def cmd_closure(args):
-    ts = jsonio.tripleset_from_json(_load(args.tripleset))
+    ts = _read(args.tripleset, jsonio.tripleset_from_json)
     _emit(jsonio.tripleset_to_json(closure(ts)), args.format)
     return 0
 
 
 def cmd_gen(args):
     if args.family == "diam2":
-        g = jsonio.graph_from_json(_load(args.graph))
+        g = _read(args.graph, jsonio.graph_from_json)
         systems = list(itertools.islice(generators.enumerate_diam2(g), args.limit))
         doc = {
             "total": str(counting.count_d2(g)) if g.diameter() in (0, 1, 2) else "0",
@@ -243,7 +244,7 @@ def cmd_gen(args):
 
 def cmd_count(args):
     if args.what == "d2":
-        g = jsonio.graph_from_json(_load(args.graph))
+        g = _read(args.graph, jsonio.graph_from_json)
         value = counting.count_d2(g)
     elif args.what == "consistent":
         value = sum(1 for _ in counting.enumerate_consistent(args.n))
@@ -259,11 +260,11 @@ def cmd_count(args):
 
 def cmd_vc(args):
     if args.action == "family":
-        sys = jsonio.system_from_json(_load(args.input))
+        sys = _read(args.input, jsonio.system_from_json)
         _emit(jsonio.setsystem_to_json(vc.family_of_system(sys)), args.format)
         return 0
     if args.action == "dim":
-        family = jsonio.setsystem_from_json(_load(args.input))
+        family = _read(args.input, jsonio.setsystem_from_json)
         _emit({"dim": vc.vc_dim(family)}, args.format)
         return 0
     # build

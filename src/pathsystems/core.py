@@ -1,9 +1,10 @@
 """Graphs, simple paths, path systems, résumés and pointed triples.
 
 Vertices are 1-based integers 1..n.  A path system designates exactly one
-simple path per unordered vertex pair; consistency means any two paths
-meet in at most a vertex or in a shared sub-path that is itself a member
-of the system.  A résumé losslessly encodes a consistent system by
+simple path per unordered vertex pair; consistency means every path is
+the concatenation of the member paths through any of its interior
+vertices, so any two paths meet in at most a vertex or in a shared
+sub-path that is itself a member of the system.  A résumé losslessly encodes a consistent system by
 recording, for each non-edge pair, one interior vertex of its path.
 """
 
@@ -335,29 +336,17 @@ def _concat(p, q, via):
 def is_consistent(sys):
     """Decide consistency of a path system.
 
-    Two independent criteria are checked: (a) every pairwise intersection
-    is empty, a single vertex, or a sub-path that is itself the member
-    path between its endpoints; (b) for every path and every interior
-    vertex a of P_{u,v}, P_{u,v} equals the concatenation of P_{u,a} and
-    P_{a,v}.  (b) is redundant given (a) and serves as a cross-check.
+    The system is consistent when every path P_{u,v} equals the
+    concatenation P_{u,a} P_{a,v} at each of its interior vertices a.  This
+    makes the paths closed under intersection: the two extreme common
+    vertices a, b of two paths span P_{a,b} in both of them.  Pairs are
+    walked in sorted order, so the reported violation does not depend on
+    the order in which the paths were given.
     """
-    keys = sorted(sys.paths)
-    for i, ka in enumerate(keys):
-        pa = sys.paths[ka]
-        for kb in keys[i + 1 :]:
-            pb = sys.paths[kb]
-            inter = path_intersection(pa, pb)
-            if inter.kind == "violation":
-                return Consistency(False, ka, kb, "intersection is not a vertex or path")
-            if inter.kind == "subpath":
-                key = pair(inter.path[0], inter.path[-1])
-                if sys.paths[key] != inter.path:
-                    return Consistency(False, ka, kb, "shared sub-path is not a member path")
-    # Concatenation cross-check.
-    for (u, v), p in sys.paths.items():
+    for u, v in sorted(sys.paths):
+        p = sys.paths[(u, v)]
         for a in path_interior(p):
-            joined = _concat(sys.path(u, a), sys.path(a, v), a)
-            if joined != p:
+            if _concat(sys.path(u, a), sys.path(a, v), a) != p:
                 return Consistency(False, (u, v), pair(u, a), "concatenation check failed")
     return Consistency(True)
 

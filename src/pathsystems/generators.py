@@ -92,7 +92,8 @@ def perfect_matching(g, seed=0):
     """A perfect matching, or a loud failure.
 
     Greedy seeded pairing first; if vertices remain, falls back to an
-    exhaustive maximum-cardinality search (networkx blossom algorithm).
+    exhaustive maximum-cardinality search (networkx blossom algorithm,
+    from the optional `matching` extra).
     Returns edges (x_i, y_i) with x_i < y_i, sorted by x_i.
     """
     if g.n % 2:
@@ -110,7 +111,13 @@ def perfect_matching(g, seed=0):
                 matched[u] = v
                 break
     if len(matched) < g.n:
-        import networkx as nx
+        try:
+            import networkx as nx
+        except ImportError as e:
+            raise MatchingError(
+                "greedy pairing left vertices unmatched and the exhaustive "
+                "fallback needs networkx: pip install 'pathsystems[matching]'"
+            ) from e
 
         gn = nx.Graph()
         gn.add_nodes_from(range(1, g.n + 1))

@@ -3,14 +3,17 @@
 A consistent path system is (strictly) metric when its paths are the
 (unique) shortest paths of some positive edge weighting.  Both properties
 reduce to exact rational linear feasibility over one variable per vertex
-pair: equality rows for colinear pointed triples, inequality rows for the
-rest.  Infeasibility converts, via the Farkas certificate, into a
-non-negative combination of triple vectors witnessing that no pseudometric
-has exactly the given colinear triples.
+pair, with one row Delta_t per pointed triple t taken from a per-n table:
+equality rows for colinear triples, inequality rows for the rest.  Strict
+metrizability is the realizability of the system's colinear triple set,
+decided by `is_realizable`.  Infeasibility converts, via the Farkas
+certificate, into a non-negative combination of triple vectors witnessing
+that no pseudometric has exactly the given colinear triples.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -58,37 +61,47 @@ def pair_indices(n):
     return {p: i for i, p in enumerate(all_pairs(n))}
 
 
+@functools.lru_cache(maxsize=None)
+def _delta_table(n):
+    """Delta_t of every pointed triple t of [n], in lexicographic order of t.
+
+    Delta_{a,b;c} has +1 at {a,c} and {c,b} and -1 at {a,b}, indexed as
+    `pair_indices`.  The table is shared: callers must not mutate it.
+    """
+    idx = pair_indices(n)
+    table = {}
+    for a, b, c in all_pointed_triples(n):
+        vec = [0] * len(idx)
+        vec[idx[pair(a, c)]] = vec[idx[pair(c, b)]] = 1
+        vec[idx[(a, b)]] = -1
+        table[(a, b, c)] = tuple(vec)
+    return table
+
+
+def _delta_sum(n, terms):
+    """Sum of coeff * Delta_t over (t, coeff) terms with canonical triples t."""
+    table = _delta_table(n)
+    vec = [0] * (n * (n - 1) // 2)
+    for t, coeff in terms:
+        for i, d in enumerate(table[t]):
+            if d:
+                vec[i] += d * coeff
+    return tuple(vec)
+
+
 def delta(t, n):
     """The vector of pointed triple {a,b;c}: +1 at {a,c} and {c,b}, -1 at {a,b}."""
-    a, b, c = pointed_triple(*t)
-    idx = pair_indices(n)
-    vec = [0] * len(idx)
-    vec[idx[pair(a, c)]] += 1
-    vec[idx[pair(c, b)]] += 1
-    vec[idx[pair(a, b)]] -= 1
-    return tuple(vec)
+    return _delta_table(n)[pointed_triple(*t)]
 
 
 def triple_signature(ts):
     """Coordinate-wise sum of the triple vectors of a triple set."""
-    idx = pair_indices(ts.n)
-    vec = [0] * len(idx)
-    for a, b, c in ts:
-        vec[idx[pair(a, c)]] += 1
-        vec[idx[pair(c, b)]] += 1
-        vec[idx[pair(a, b)]] -= 1
-    return tuple(vec)
+    return _delta_sum(ts.n, ((t, 1) for t in ts))
 
 
 def resume_signature(f):
     """Signature of a partial function: sum of vectors over its entries."""
-    idx = pair_indices(f.n)
-    vec = [0] * len(idx)
-    for (u, v), z in f.entries:
-        vec[idx[pair(u, z)]] += 1
-        vec[idx[pair(z, v)]] += 1
-        vec[idx[pair(u, v)]] -= 1
-    return tuple(vec)
+    return _delta_sum(f.n, (((u, v, z), 1) for (u, v), z in f.entries))
 
 
 class Pseudometric:
@@ -187,47 +200,23 @@ class SearchOutcome:
 
 
 # ---------------------------------------------------------------------------
-# LP construction and the two realizability tests
+# LP construction and the realizability tests
 # ---------------------------------------------------------------------------
 
-MODES = ("metric", "strict", "pseudostrict")
 
+def build_lp(sys):
+    """LP of the metric test: one variable per vertex pair.
 
-def _lp_rows(sys, mode):
-    """Rows for the (strict) metrizability LP, with their triples.
-
-    Returns (equalities, eq_triples, inequalities, ineq_triples); bound
-    rows x_{a,b} >= 1 are appended to the inequalities with triple None.
+    Delta_t = 0 on the colinear triples, Delta_t >= 0 on the rest, and
+    x_{a,b} >= 1 on every pair.  Raises ValueError on an inconsistent system.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    check_needed = colinear_triples(sys)  # validates consistency too
-    n = sys.n
-    s = ZERO if mode == "metric" else ONE
-    eqs, eq_triples, ineqs, ineq_triples = [], [], [], []
-    for t in all_pointed_triples(n):
-        vec = delta(t, n)
-        if t in check_needed:
-            eqs.append((vec, ZERO))
-            eq_triples.append(t)
-        else:
-            ineqs.append((vec, s))
-            ineq_triples.append(t)
-    if mode in ("metric", "strict"):
-        npairs = len(all_pairs(n))
-        for i in range(npairs):
-            vec = tuple(1 if j == i else 0 for j in range(npairs))
-            ineqs.append((vec, ONE))
-            ineq_triples.append(None)
-    return eqs, eq_triples, ineqs, ineq_triples
-
-
-def build_lp(sys, mode):
-    """LP of the metrizability test: one variable per vertex pair."""
-    eqs, _, ineqs, _ = _lp_rows(sys, mode)
-    return LinearSystem(
-        num_vars=len(all_pairs(sys.n)), equalities=tuple(eqs), inequalities=tuple(ineqs)
-    )
+    colinear = colinear_triples(sys).triples
+    table = _delta_table(sys.n)
+    npairs = len(all_pairs(sys.n))
+    eqs = [(vec, ZERO) for t, vec in table.items() if t in colinear]
+    ineqs = [(vec, ZERO) for t, vec in table.items() if t not in colinear]
+    ineqs += [(tuple(1 if j == i else 0 for j in range(npairs)), ONE) for i in range(npairs)]
+    return LinearSystem(num_vars=npairs, equalities=tuple(eqs), inequalities=tuple(ineqs))
 
 
 def _metric_from_solution(n, x):
@@ -248,7 +237,7 @@ def _farkas_to_alpha(n, colinear, eq_triples, ineq_triples, cert):
     theta = ONE / top if top > 1 else ONE
     alpha = {}
     for t, lam in zip(ineq_triples, cert.lam):
-        if t is not None and lam:
+        if lam:
             alpha[t] = theta * lam
     for s, b in zip(eq_triples, beta_neg):
         val = ONE - theta * b
@@ -261,7 +250,7 @@ def _farkas_to_alpha(n, colinear, eq_triples, ineq_triples, cert):
 
 def is_metric(sys):
     """The path system's paths are shortest under some positive weights."""
-    res = solve_feasibility(build_lp(sys, "metric"))
+    res = solve_feasibility(build_lp(sys))
     if not res.feasible:
         return None
     rho = _metric_from_solution(sys.n, res.solution)
@@ -270,23 +259,13 @@ def is_metric(sys):
 
 
 def is_strictly_metric(sys):
-    """Unique-shortest-path realizability, with witness either way."""
-    eqs, eq_triples, ineqs, ineq_triples = _lp_rows(sys, "pseudostrict")
-    system = LinearSystem(
-        num_vars=len(all_pairs(sys.n)), equalities=tuple(eqs), inequalities=tuple(ineqs)
-    )
-    res = solve_feasibility(system)
-    if res.feasible:
-        # Feasible solutions are automatically non-negative:
-        # 2 x_{a,b} = (x_{a,b}+x_{b,c}-x_{a,c}) + (x_{b,a}+x_{a,c}-x_{b,c}) >= 0.
-        assert all(v >= 0 for v in res.solution)
-        rho = _metric_from_solution(sys.n, res.solution)
-        assert triples_of_metric(rho).triples == colinear_triples(sys).triples
-        return StrictnessResult(True, metric=rho)
-    witness = _farkas_to_alpha(
-        sys.n, colinear_triples(sys).triples, eq_triples, ineq_triples, res.certificate
-    )
-    return StrictnessResult(False, witness=witness)
+    """Unique-shortest-path realizability, with witness either way.
+
+    This is the realizability of the system's colinear triple set; the
+    realizing pseudometric or the witness is that of `is_realizable`.
+    """
+    res = is_realizable(colinear_triples(sys))
+    return StrictnessResult(res.realizable, metric=res.metric, witness=res.witness)
 
 
 def triples_of_metric(rho):
@@ -380,17 +359,13 @@ def induce_system(w):
 def is_realizable(S):
     """Is S exactly the colinear triple set of some pseudometric?"""
     n = S.n
-    eqs, eq_triples, ineqs, ineq_triples = [], [], [], []
-    for t in all_pointed_triples(n):
-        vec = delta(t, n)
-        if t in S:
-            eqs.append((vec, ZERO))
-            eq_triples.append(t)
-        else:
-            ineqs.append((vec, ONE))
-            ineq_triples.append(t)
+    table = _delta_table(n)
+    eq_triples = [t for t in table if t in S.triples]
+    ineq_triples = [t for t in table if t not in S.triples]
     system = LinearSystem(
-        num_vars=len(all_pairs(n)), equalities=tuple(eqs), inequalities=tuple(ineqs)
+        num_vars=len(all_pairs(n)),
+        equalities=tuple((table[t], ZERO) for t in eq_triples),
+        inequalities=tuple((table[t], ONE) for t in ineq_triples),
     )
     res = solve_feasibility(system)
     if res.feasible:
@@ -407,15 +382,7 @@ def verify_witness(S, alpha):
     n = S.n
     if any(v < 0 for v in alpha.values()):
         return False
-    target = triple_signature(S)
-    idx = pair_indices(n)
-    combo = [ZERO] * len(idx)
-    for t, coeff in alpha.items():
-        a, b, c = t
-        combo[idx[pair(a, c)]] += coeff
-        combo[idx[pair(c, b)]] += coeff
-        combo[idx[pair(a, b)]] -= coeff
-    if any(cv != tv for cv, tv in zip(combo, target)):
+    if _delta_sum(n, alpha.items()) != triple_signature(S):
         return False
     support = {t for t, v in alpha.items() if v}
     return not support <= S.triples
@@ -423,17 +390,10 @@ def verify_witness(S, alpha):
 
 def _completion_feasible(n, triples, residual):
     """Exists y >= 0 over `triples` with sum y_t Delta_t = residual?"""
-    idx = pair_indices(n)
-    cols = []
-    for t in triples:
-        a, b, c = t
-        col = [ZERO] * len(idx)
-        col[idx[pair(a, c)]] += 1
-        col[idx[pair(c, b)]] += 1
-        col[idx[pair(a, b)]] -= 1
-        cols.append(col)
+    table = _delta_table(n)
+    cols = [table[t] for t in triples]
     eqs = tuple(
-        (tuple(col[i] for col in cols), Q(residual[i])) for i in range(len(idx))
+        (tuple(col[i] for col in cols), Q(residual[i])) for i in range(len(residual))
     )
     system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
     return solve_feasibility(system).feasible
@@ -453,18 +413,18 @@ def integral_witness_search(S, time_budget=None):
     target = triple_signature(S)
     m = len(S)
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    universe = all_pointed_triples(n)
+    deltas = _delta_table(n)
+    universe = list(deltas)
     # A triple can appear in an integral witness only if a fractional
     # solution with its coefficient >= 1 exists.
     candidates = []
     for t in universe:
         if deadline is not None and time.monotonic() > deadline:
             return SearchOutcome("inconclusive")
-        d = delta(t, n)
+        d = deltas[t]
         shifted = [target[i] - d[i] for i in range(len(target))]
         if _completion_feasible(n, universe, shifted):
             candidates.append(t)
-    deltas = {t: delta(t, n) for t in candidates}
     nodes = 0
 
     class _Budget(Exception):
@@ -523,15 +483,16 @@ def closure(S):
     """
     n = S.n
     npairs = len(all_pairs(n))
-    eqs = tuple((delta(s, n), ZERO) for s in S)
+    table = _delta_table(n)
+    eqs = tuple((table[s], ZERO) for s in S)
     added = set(S.triples)
-    for t in all_pointed_triples(n):
-        if t in S:
+    for t in table:
+        if t in S.triples:
             continue
-        ineqs = [(delta(t, n), ONE)]
-        for r in all_pointed_triples(n):
-            if r not in S and r != t:
-                ineqs.append((delta(r, n), ZERO))
+        ineqs = [(table[t], ONE)]
+        for r, vec in table.items():
+            if r not in S.triples and r != t:
+                ineqs.append((vec, ZERO))
         system = LinearSystem(num_vars=npairs, equalities=eqs, inequalities=tuple(ineqs))
         if not solve_feasibility(system).feasible:
             added.add(t)

@@ -2,8 +2,9 @@
 
 Every numeric decision in this library is made in exact rational
 arithmetic; no floating point appears anywhere on a decision path.
-gmpy2's mpq is used when available (roughly 25x faster than
-fractions.Fraction); the stdlib Fraction is a drop-in fallback.
+gmpy2's mpq (the optional `fast` extra) is used when available (roughly
+25x faster than fractions.Fraction); the stdlib Fraction is a drop-in
+fallback.
 """
 
 from fractions import Fraction

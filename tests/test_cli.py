@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 
 import pytest
@@ -78,6 +79,14 @@ def test_metrize_test_modes(capsys, line4):
         assert code == 0
         doc = json.loads(out)
         assert doc.get("metric", doc.get("strictly_metric")) is True
+    # "strict" is an alias of "pseudo": same verdict, same pseudometric.
+    fixtures = importlib.resources.files("pathsystems") / "fixtures"
+    for name in ("line4", "c4", "k3"):
+        path = str(fixtures / f"{name}.json")
+        outs = [run(capsys, "metrize", "test", path, "--mode", m) for m in ("strict", "pseudo")]
+        assert outs[0] == outs[1]
+        doc = json.loads(outs[0][1])
+        assert doc["strictly_metric"] is True and "pseudometric" in doc
 
 
 def test_metrize_witness_roundtrip(capsys, tmp_path):
@@ -201,12 +210,37 @@ def test_verify_budget_inconclusive(capsys):
     assert doc["fractional_identity"] is True
 
 
+def run_bad_input(capsys, *argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert e.value.code == 2 and captured.out == ""
+    return captured.err
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
-    with pytest.raises(SystemExit) as e:
-        main(["check", str(bad)])
-    assert str(bad) in str(e.value) and ":1:" in str(e.value)
+    err = run_bad_input(capsys, "check", str(bad))
+    assert err.startswith(f"error: {bad}:1:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (("check",), None, "No such file or directory"),
+        (("check",), {"n": 3}, "missing key 'paths'"),
+        (("check",), {"n": 3, "paths": 5}, "not iterable"),
+        (("closure",), [3], "has no attribute"),
+        (("check",), {"n": 3, "paths": [{"vertices": [1, 2]}]}, "no path for pairs"),
+    ],
+    ids=["missing_file", "missing_key", "wrong_type", "wrong_document_type", "bad_value"],
+)
+def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
+    path = tmp_path / "input.json" if doc is None else write(tmp_path, "input.json", doc)
+    err = run_bad_input(capsys, *argv, str(path))
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_unknown_flag_exit_2(capsys):

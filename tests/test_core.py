@@ -20,11 +20,70 @@ from pathsystems.core import (
     pointed_triple,
     recover_from_resume,
 )
+from pathsystems.counting import enumerate_consistent
 
 
 def line_system(n):
     paths = [tuple(range(a, b + 1)) for a, b in all_pairs(n)]
     return PathSystem(n, paths)
+
+
+def _pairwise_consistent(sys):
+    """Oracle: any two paths meet in nothing, a vertex, or a member sub-path."""
+    keys = sorted(sys.paths)
+    for i, ka in enumerate(keys):
+        for kb in keys[i + 1 :]:
+            inter = path_intersection(sys.paths[ka], sys.paths[kb])
+            if inter.kind == "violation":
+                return False
+            if inter.kind == "subpath":
+                if sys.path(inter.path[0], inter.path[-1]) != inter.path:
+                    return False
+    return True
+
+
+def _fails_concatenation(sys, key):
+    """P_{u,v} differs from P_{u,a} + P_{a,v} at some interior vertex a."""
+    u, v = key
+    p = sys.path(u, v)
+    if p[0] != u:
+        p = p[::-1]
+    return any(
+        make_path(p[: i + 1]) != sys.path(u, p[i]) or make_path(p[i:]) != sys.path(p[i], v)
+        for i in range(1, len(p) - 1)
+    )
+
+
+def _check_against_oracle(sys):
+    verdict = is_consistent(sys)
+    assert bool(verdict) == _pairwise_consistent(sys)
+    if not verdict:
+        assert _fails_concatenation(sys, verdict.pair_a)
+
+
+CONSISTENT_4 = list(enumerate_consistent(4))
+
+
+@st.composite
+def simple_paths(draw, n, u, v):
+    others = [x for x in range(1, n + 1) if x not in (u, v)]
+    interior = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    return (u, *interior, v)
+
+
+@st.composite
+def perturbed_consistent_4(draw):
+    sys = draw(st.sampled_from(CONSISTENT_4))
+    key = draw(st.sampled_from(sorted(sys.paths)))
+    paths = dict(sys.paths)
+    paths[key] = draw(simple_paths(4, *key))
+    return PathSystem(4, paths)
+
+
+@st.composite
+def random_systems(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    return PathSystem(n, [draw(simple_paths(n, u, v)) for u, v in all_pairs(n)])
 
 
 def test_pair_canonical():
@@ -109,6 +168,24 @@ def test_inconsistent_system_detected():
     verdict = is_consistent(sys)
     assert not verdict
     assert verdict.reason
+    _check_against_oracle(sys)
+
+
+def test_consistency_oracle_on_all_consistent_n4():
+    for sys in CONSISTENT_4:
+        _check_against_oracle(sys)
+
+
+@given(st.one_of(perturbed_consistent_4(), random_systems()))
+def test_consistency_matches_pairwise_oracle(sys):
+    _check_against_oracle(sys)
+
+
+@given(random_systems(), st.randoms(use_true_random=False))
+def test_consistency_verdict_independent_of_path_order(sys, rng):
+    paths = list(sys.paths.values())
+    rng.shuffle(paths)
+    assert is_consistent(PathSystem(sys.n, paths)) == is_consistent(sys)
 
 
 def test_neighborly():

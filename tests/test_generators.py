@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -56,6 +57,16 @@ def test_perfect_matching():
         perfect_matching(Graph(3, [(1, 2)]), seed=0)
     with pytest.raises(MatchingError):
         perfect_matching(Graph(4, [(1, 2), (1, 3), (1, 4)]), seed=0)
+
+
+def test_perfect_matching_fallback_without_networkx(monkeypatch):
+    # Seed 0 visits vertex 3 first and pairs it with 2, stranding 1 and 4:
+    # only the exhaustive fallback finds the matching of the path 1-2-3-4.
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    assert perfect_matching(g, seed=0) == [(1, 2), (3, 4)]
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    with pytest.raises(MatchingError, match=r"pathsystems\[matching\]"):
+        perfect_matching(g, seed=0)
 
 
 def test_admissible_pairs_conditions():
