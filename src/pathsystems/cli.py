@@ -3,7 +3,8 @@
 Every subcommand reads and writes the canonical JSON schemas (TSV on
 request), is reproducible from its recorded seed, and exits 0 on success,
 1 on a property violation, 2 on usage errors and unreadable or malformed
-input files.
+input files.  A command that needs a consistent system and is given an
+inconsistent one prints the violation report of `check` and exits 1.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys as _sys
 
 from . import counting, generators, jsonio, vc
 from .core import (
+    InconsistentSystemError,
     ResumeRecoveryError,
     all_resumes,
     diameter,
@@ -85,16 +87,23 @@ def _emit(doc, fmt):
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args):
-    sys = _read(args.system, jsonio.system_from_json)
-    verdict = is_consistent(sys)
-    report = {"consistent": bool(verdict), "diameter": diameter(sys)}
+def _consistency_report(verdict):
+    """The consistency verdict, with the violation when there is one."""
+    report = {"consistent": bool(verdict)}
     if not verdict:
         report["violation"] = {
             "pair_a": list(verdict.pair_a),
             "pair_b": list(verdict.pair_b),
             "reason": verdict.reason,
         }
+    return report
+
+
+def cmd_check(args):
+    sys = _read(args.system, jsonio.system_from_json)
+    verdict = is_consistent(sys)
+    report = _consistency_report(verdict)
+    report["diameter"] = diameter(sys)
     if args.graph:
         g = _read(args.graph, jsonio.graph_from_json)
         report["neighborly"] = is_neighborly(sys, g)
@@ -425,9 +434,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except InconsistentSystemError as e:
+        _emit(_consistency_report(e.verdict), args.format)
+        return 1
 
 
 if __name__ == "__main__":

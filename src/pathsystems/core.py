@@ -19,8 +19,8 @@ __all__ = [
     "PathSystem",
     "Resume",
     "TripleSet",
-    "Intersection",
     "Consistency",
+    "InconsistentSystemError",
     "ResumeRecoveryError",
     "pair",
     "all_pairs",
@@ -29,8 +29,8 @@ __all__ = [
     "path_interior",
     "pointed_triple",
     "all_pointed_triples",
-    "path_intersection",
     "is_consistent",
+    "require_consistent",
     "is_neighborly",
     "diameter",
     "extract_resume",
@@ -258,57 +258,6 @@ class TripleSet:
 
 
 @dataclass(frozen=True)
-class Intersection:
-    """Classification of the common subgraph of two paths."""
-
-    kind: str  # "empty" | "vertex" | "subpath" | "violation"
-    vertex: int | None = None
-    path: tuple | None = None
-
-
-def path_intersection(p, q):
-    """Classify the intersection of two simple paths.
-
-    The common vertices and common edges form the intersection subgraph.
-    It is a sub-path only if the common edges form a contiguous path
-    covering every common vertex.
-    """
-    pv, qv = set(p), set(q)
-    common_v = pv & qv
-    if not common_v:
-        return Intersection("empty")
-    common_e = path_edges(p) & path_edges(q)
-    if len(common_v) == 1 and not common_e:
-        return Intersection("vertex", vertex=next(iter(common_v)))
-    # The common edges must form a simple path spanning all common vertices.
-    deg = {}
-    for u, v in common_e:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if set(deg) != common_v:
-        return Intersection("violation")
-    ends = [v for v, d in deg.items() if d == 1]
-    if len(ends) != 2 or any(d > 2 for d in deg.values()):
-        return Intersection("violation")
-    # Walk from one endpoint; check connectivity and coverage.
-    adj = {v: [] for v in deg}
-    for u, v in common_e:
-        adj[u].append(v)
-        adj[v].append(u)
-    walk = [min(ends)]
-    prev = None
-    while True:
-        nxt = [w for w in adj[walk[-1]] if w != prev]
-        if not nxt:
-            break
-        prev = walk[-1]
-        walk.append(nxt[0])
-    if len(walk) != len(common_v):
-        return Intersection("violation")
-    return Intersection("subpath", path=make_path(walk))
-
-
-@dataclass(frozen=True)
 class Consistency:
     ok: bool
     pair_a: tuple | None = None
@@ -351,6 +300,24 @@ def is_consistent(sys):
     return Consistency(True)
 
 
+class InconsistentSystemError(ValueError):
+    """Raised when an operation that needs a consistent system gets another.
+
+    `verdict` is the failing `Consistency`, with the violating pairs.
+    """
+
+    def __init__(self, verdict):
+        self.verdict = verdict
+        super().__init__(f"inconsistent path system: {verdict.reason}")
+
+
+def require_consistent(sys):
+    """Raise InconsistentSystemError unless the system is consistent."""
+    verdict = is_consistent(sys)
+    if not verdict:
+        raise InconsistentSystemError(verdict)
+
+
 def is_neighborly(sys, g):
     """True iff every edge of g is its own path and sys only uses g's edges."""
     if sys.n != g.n:
@@ -371,9 +338,7 @@ def diameter(sys):
 
 def extract_resume(sys):
     """Canonical résumé: immediate successor of the smaller endpoint."""
-    check = is_consistent(sys)
-    if not check:
-        raise ValueError(f"inconsistent path system: {check.reason}")
+    require_consistent(sys)
     entries = {}
     for (u, v), p in sys.paths.items():
         if len(p) > 2:
@@ -384,9 +349,7 @@ def extract_resume(sys):
 
 def all_resumes(sys, cap=10**6):
     """The full set of résumés: one interior choice per long path."""
-    check = is_consistent(sys)
-    if not check:
-        raise ValueError(f"inconsistent path system: {check.reason}")
+    require_consistent(sys)
     long_pairs = [k for k in sorted(sys.paths) if len(sys.paths[k]) > 2]
     total = 1
     for k in long_pairs:
@@ -453,9 +416,7 @@ def recover_from_resume(f):
 
 def colinear_triples(sys):
     """T(P): pointed triples {a,b;c} with c interior on P_{a,b}."""
-    check = is_consistent(sys)
-    if not check:
-        raise ValueError(f"inconsistent path system: {check.reason}")
+    require_consistent(sys)
     triples = set()
     for (a, b), p in sys.paths.items():
         for c in path_interior(p):

@@ -21,7 +21,6 @@ from .core import (
     all_pairs,
     all_resumes,
     is_consistent,
-    path_intersection,
     pair,
 )
 from .metrize import is_strictly_metric, resume_signature
@@ -62,13 +61,23 @@ def _simple_paths(u, v, n):
     return result
 
 
+def _subpath(p, a, b):
+    """The sub-path of p between two of its vertices, canonically oriented."""
+    i, j = sorted((p.index(a), p.index(b)))
+    sub = p[i : j + 1]
+    return sub if sub[0] < sub[-1] else sub[::-1]
+
+
 def enumerate_consistent(n, hard_cap=5):
     """All consistent path systems on [n] by pruned backtracking.
 
-    Pairs are assigned lexicographically, candidate paths shortest first;
-    a partial assignment is cut as soon as two of its paths intersect in
-    something that is neither empty, a vertex, nor a shared sub-path
-    consistent with the paths already placed.
+    Pairs are assigned lexicographically, candidate paths shortest first.
+    In a consistent system the sub-path of a member path between any two
+    of its vertices is the member path of that pair.  A candidate is cut
+    when one of its sub-paths differs from a path already placed, or when
+    a path already placed runs through both of its endpoints with a
+    different sub-path between them.  Each complete system is still
+    decided by `is_consistent`.
     """
     if n > hard_cap:
         raise ValueError(f"n={n} exceeds the enumeration cap {hard_cap}")
@@ -77,18 +86,16 @@ def enumerate_consistent(n, hard_cap=5):
     assignment = {}
 
     def compatible(new_pair, new_path):
-        for old_pair, old_path in assignment.items():
-            inter = path_intersection(new_path, old_path)
-            if inter.kind == "violation":
+        for a, b in itertools.combinations(new_path, 2):
+            placed = assignment.get(pair(a, b))
+            if placed is not None and placed != _subpath(new_path, a, b):
                 return False
-            if inter.kind == "subpath":
-                key = pair(inter.path[0], inter.path[-1])
-                placed = assignment.get(key)
-                if placed is not None and placed != inter.path:
-                    return False
-                if key == new_pair and new_path != inter.path:
-                    return False
-        return True
+        u, v = new_pair
+        return all(
+            _subpath(old_path, u, v) == new_path
+            for old_path in assignment.values()
+            if u in old_path and v in old_path
+        )
 
     def backtrack(ix):
         if ix == len(pairs):

@@ -3,8 +3,11 @@
 Diameter-2 systems on arbitrary graphs, matching-based systems in random
 graphs, bipartite half-and-half systems, joins of a clique with an
 anti-clique, and the monotone systems they host.  Every randomized
-construction is seeded and certified: weights are retried until the
-induced geodesics are provably unique and contain all chosen paths.
+construction is seeded and certified through one path: `matching_weights`
+(the bipartite family is its instance on K_{h,h}) redraws weight noise
+until the induced geodesics are provably unique, and checks the chosen
+paths on the very system it certified, so each accepted draw is induced
+once.  `gen_join` is `gen_join_gamma` at gamma = 1/2.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 from .core import Graph, PathSystem, all_pairs, pair
 from .metrize import WeightFunction, induce_system
-from .rational import Q, ONE
+from .rational import Q
 
 __all__ = [
     "MonotoneMatrix",
@@ -165,12 +168,16 @@ def admissible_pairs(g, matching):
 
 
 def _certified_weights(g, classes, rng, max_attempts=64):
-    """Add grid noise to per-edge base weights until geodesics are unique."""
+    """Add grid noise to per-edge base weights until geodesics are unique.
+
+    Returns the weight function and the path system it induces.
+    """
     for _ in range(max_attempts):
         w = {e: classes[e] + _noise(rng) for e in sorted(g.edges)}
         wf = WeightFunction(g, w)
-        if induce_system(wf).unique:
-            return wf
+        res = induce_system(wf)
+        if res.unique:
+            return wf, res.system
     raise RuntimeError("could not certify unique geodesics within attempt budget")
 
 
@@ -181,7 +188,7 @@ def matching_weights(g, matching, choices, noise_seed):
     which must be y_i or y_j.  Matching edges weigh 1, non-matching edges
     on a chosen path 11/10, all others 12/10, each plus grid noise; fresh
     noise is drawn until the induced geodesics are certified unique, and
-    every chosen path is checked to appear in the induced system.
+    every chosen path is checked to appear in that certified system.
     """
     adm = admissible_pairs(g, matching)
     if sorted(choices) != sorted(adm):
@@ -205,8 +212,7 @@ def matching_weights(g, matching, choices, noise_seed):
             classes[e] = W_CHOSEN
         else:
             classes[e] = W_OTHER
-    wf = _certified_weights(g, classes, random.Random(noise_seed))
-    induced = induce_system(wf).system
+    wf, induced = _certified_weights(g, classes, random.Random(noise_seed))
     for xi, mid, xj in chosen_paths:
         assert induced.path(xi, xj) == (min(xi, xj), mid, max(xi, xj))
     return wf
@@ -215,54 +221,22 @@ def matching_weights(g, matching, choices, noise_seed):
 def gen_bipartite(half_n, choices, noise_seed):
     """Certified neighborly system on the balanced complete bipartite graph.
 
-    Vertices x_i = i and y_i = half_n + i; the matching is x_i y_i.  For
-    every pair i < j the chosen path x_i y_k x_j (k given by choices[(i,j)],
-    either i or j) becomes the unique geodesic under the 1 / 11:10 / 12:10
-    weight classes plus certified grid noise.
+    Vertices x_i = i and y_i = half_n + i; the matching is x_i y_i, and
+    every pair i < j is admissible.  `choices[(i, j)]`, either i or j,
+    names the midpoint y_k of the chosen path x_i y_k x_j, which
+    `matching_weights` makes the unique geodesic.  Returns the graph and
+    the weights.
     """
     h = int(half_n)
-    edges = [(i, h + j) for i in range(1, h + 1) for j in range(1, h + 1)]
-    g = Graph(2 * h, edges)
-    index_pairs = [(i, j) for i in range(1, h + 1) for j in range(i + 1, h + 1)]
-    if sorted(choices) != index_pairs:
-        raise ValueError("choices must cover every index pair i < j")
-    chosen_edges = set()
-    chosen_paths = []
-    for (i, j), k in choices.items():
-        if k not in (i, j):
-            raise ValueError(f"choice for {(i, j)} must be {i} or {j}")
-        chosen_paths.append((i, h + k, j))
-        chosen_edges |= {pair(i, h + k), pair(j, h + k)}
-    classes = {}
-    for e in g.edges:
-        i, y = e
-        if y == h + i:
-            classes[e] = W_MATCHED
-        elif e in chosen_edges:
-            classes[e] = W_CHOSEN
-        else:
-            classes[e] = W_OTHER
-    wf = _certified_weights(g, classes, random.Random(noise_seed))
-    induced = induce_system(wf).system
-    for xi, mid, xj in chosen_paths:
-        assert induced.path(xi, xj) == (xi, mid, xj)
-    return g, wf
+    g = Graph(2 * h, [(i, h + j) for i in range(1, h + 1) for j in range(1, h + 1)])
+    matching = [(i, h + i) for i in range(1, h + 1)]
+    midpoints = {p: h + k for p, k in choices.items()}
+    return g, matching_weights(g, matching, midpoints, noise_seed)
 
 
 def gen_join(n):
-    """J_n: anti-clique x_1..x_n joined to a clique y_1..y_n.
-
-    Vertices 1..n are the anti-clique; n+1..2n form the clique; every
-    cross pair is an edge.
-    """
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(n + 1, 2 * n + 1):
-            edges.append((i, j))
-    for i in range(n + 1, 2 * n + 1):
-        for j in range(i + 1, 2 * n + 1):
-            edges.append((i, j))
-    return Graph(2 * n, edges)
+    """J_n = gen_join_gamma(2n, 1/2): anti-clique 1..n joined to a clique n+1..2n."""
+    return gen_join_gamma(2 * n, Q(1, 2))
 
 
 def gen_join_gamma(n, gamma):
@@ -350,13 +324,9 @@ def enumerate_monotone(n, cap=6):
 
     def fill(ix):
         if ix == len(cells):
-            rows = tuple(
-                tuple(grid[i][j] if i != j else grid[i][j] or 1 for j in range(n))
-                for i in range(n)
-            )
             # Diagonal entries are unused; store a placeholder respecting range.
             rows = tuple(
-                tuple(rows[i][j] if i != j else 1 for j in range(n)) for i in range(n)
+                tuple(grid[i][j] if i != j else 1 for j in range(n)) for i in range(n)
             )
             yield MonotoneMatrix(n, rows)
             return

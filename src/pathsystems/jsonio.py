@@ -3,9 +3,9 @@
 All arrays are emitted in a fixed sorted order so identical inputs yield
 byte-identical documents.  Rationals travel as {"num", "den"} decimal
 strings; TSV output renders them "num/den".  Triple sets and witnesses
-accept an optional "label_base" (default 1): documents with 0-based
-vertex labels are shifted to the internal 1-based convention on load and
-shifted back on dump.
+accept an optional "label_base" (default 1) on load: documents with
+0-based vertex labels are shifted to the internal 1-based convention.
+Documents are always written 1-based.
 """
 
 from __future__ import annotations
@@ -85,17 +85,11 @@ def _shift_triple(t, offset):
     return pointed_triple(a + offset, b + offset, c + offset)
 
 
-def tripleset_to_json(ts, label_base=1):
-    offset = label_base - 1
-    doc = {
+def tripleset_to_json(ts):
+    return {
         "n": ts.n,
-        "triples": [
-            {"pair": [a + offset, b + offset], "point": c + offset} for a, b, c in ts
-        ],
+        "triples": [{"pair": [a, b], "point": c} for a, b, c in ts],
     }
-    if label_base != 1:
-        doc["label_base"] = label_base
-    return doc
 
 
 def tripleset_from_json(doc):
@@ -107,23 +101,19 @@ def tripleset_from_json(doc):
     return TripleSet(doc["n"], triples)
 
 
-def witness_to_json(alpha, label_base=1):
-    offset = label_base - 1
+def witness_to_json(alpha):
     entries = []
     for t in sorted(alpha):
         a, b, c = t
         rat = rational_to_json(alpha[t])
         entries.append(
             {
-                "triple": {"pair": [a + offset, b + offset], "point": c + offset},
+                "triple": {"pair": [a, b], "point": c},
                 "num": rat["num"],
                 "den": rat["den"],
             }
         )
-    doc = {"alpha": entries}
-    if label_base != 1:
-        doc["label_base"] = label_base
-    return doc
+    return {"alpha": entries}
 
 
 def witness_from_json(doc):

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .core import is_consistent
+from .core import require_consistent
 from .generators import _bernoulli, gen_gnp
 
 __all__ = [
@@ -98,9 +98,7 @@ class SimplicialComplex:
 
 def family_of_system(sys):
     """The vertex sets of all paths, plus the singletons and the empty set."""
-    check = is_consistent(sys)
-    if not check:
-        raise ValueError(f"inconsistent path system: {check.reason}")
+    require_consistent(sys)
     sets = {frozenset(p) for p in sys.paths.values()}
     sets |= {frozenset({v}) for v in range(1, sys.n + 1)}
     sets.add(frozenset())

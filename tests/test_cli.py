@@ -44,6 +44,34 @@ def test_check_inconsistent_exit_1(capsys, tmp_path):
     assert json.loads(out)["consistent"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metrize", "test"],
+        ["metrize", "test", "--mode", "metric"],
+        ["metrize", "realize"],
+        ["resume", "extract"],
+        ["resume", "all"],
+        ["vc", "family"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+)
+def test_inconsistent_input_reports_violation(capsys, tmp_path, argv):
+    sys = PathSystem(4, [(1, 2), (1, 2, 3), (1, 3, 4), (2, 3), (2, 3, 4), (3, 4)])
+    path = write(tmp_path, "bad.json", jsonio.system_to_json(sys))
+    _, checked = run(capsys, "check", path)
+    expected = json.loads(checked)
+    del expected["diameter"]
+    code, out = run(capsys, *argv, path)
+    assert code == 1
+    assert json.loads(out) == expected
+    assert expected["violation"] == {
+        "pair_a": [1, 4],
+        "pair_b": [1, 3],
+        "reason": "concatenation check failed",
+    }
+
+
 def test_check_tsv(capsys, line4):
     code, out = run(capsys, "--tsv", "check", line4)
     assert code == 0

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +19,7 @@ from pathsystems.core import (
     is_neighborly,
     make_path,
     pair,
-    path_intersection,
+    path_edges,
     pointed_triple,
     recover_from_resume,
 )
@@ -26,6 +29,57 @@ from pathsystems.counting import enumerate_consistent
 def line_system(n):
     paths = [tuple(range(a, b + 1)) for a, b in all_pairs(n)]
     return PathSystem(n, paths)
+
+
+@dataclass(frozen=True)
+class Intersection:
+    """Classification of the common subgraph of two paths."""
+
+    kind: str  # "empty" | "vertex" | "subpath" | "violation"
+    vertex: int | None = None
+    path: tuple | None = None
+
+
+def path_intersection(p, q):
+    """Classify the intersection of two simple paths.
+
+    The common vertices and common edges form the intersection subgraph.
+    It is a sub-path only if the common edges form a contiguous path
+    covering every common vertex.
+    """
+    pv, qv = set(p), set(q)
+    common_v = pv & qv
+    if not common_v:
+        return Intersection("empty")
+    common_e = path_edges(p) & path_edges(q)
+    if len(common_v) == 1 and not common_e:
+        return Intersection("vertex", vertex=next(iter(common_v)))
+    # The common edges must form a simple path spanning all common vertices.
+    deg = {}
+    for u, v in common_e:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    if set(deg) != common_v:
+        return Intersection("violation")
+    ends = [v for v, d in deg.items() if d == 1]
+    if len(ends) != 2 or any(d > 2 for d in deg.values()):
+        return Intersection("violation")
+    # Walk from one endpoint; check connectivity and coverage.
+    adj = {v: [] for v in deg}
+    for u, v in common_e:
+        adj[u].append(v)
+        adj[v].append(u)
+    walk = [min(ends)]
+    prev = None
+    while True:
+        nxt = [w for w in adj[walk[-1]] if w != prev]
+        if not nxt:
+            break
+        prev = walk[-1]
+        walk.append(nxt[0])
+    if len(walk) != len(common_v):
+        return Intersection("violation")
+    return Intersection("subpath", path=make_path(walk))
 
 
 def _pairwise_consistent(sys):
@@ -174,6 +228,25 @@ def test_inconsistent_system_detected():
 def test_consistency_oracle_on_all_consistent_n4():
     for sys in CONSISTENT_4:
         _check_against_oracle(sys)
+
+
+def _simple_paths_in_k(n, u, v):
+    """Every simple uv-path in K_n: shortest first, interiors in permutation order."""
+    others = [x for x in range(1, n + 1) if x not in (u, v)]
+    return [
+        (u, *interior, v)
+        for k in range(len(others) + 1)
+        for interior in itertools.permutations(others, k)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_consistent_matches_brute_force(n):
+    # Every choice of one simple path per pair, filtered by the pairwise
+    # intersection oracle: the same systems in the same order.
+    candidates = [_simple_paths_in_k(n, u, v) for u, v in all_pairs(n)]
+    systems = (PathSystem(n, paths) for paths in itertools.product(*candidates))
+    assert [s for s in systems if _pairwise_consistent(s)] == list(enumerate_consistent(n))
 
 
 @given(st.one_of(perturbed_consistent_4(), random_systems()))

@@ -41,6 +41,10 @@ def test_enumerate_consistent_regression_n4():
     assert sum(1 for _ in enumerate_consistent(4)) == 53
 
 
+def test_enumerate_consistent_regression_n5():
+    assert sum(1 for _ in enumerate_consistent(5)) == 2668
+
+
 def test_enumerate_consistent_cap():
     with pytest.raises(ValueError):
         next(enumerate_consistent(6))

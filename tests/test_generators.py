@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from pathsystems import generators
 from pathsystems.core import Graph, is_consistent, is_neighborly, pair
 from pathsystems.counting import count_d2
 from pathsystems.generators import (
@@ -91,6 +92,24 @@ def test_matching_weights_realizes_choices():
         assert res.system.path(a, b) == (min(a, b), mid, max(a, b))
 
 
+def test_matching_weights_induces_once(monkeypatch):
+    # The chosen paths are checked on the system certified unique, so an
+    # instance certified on its first noise draw is induced exactly once.
+    g = gen_gnp(20, Q(1, 2), 5)
+    m = perfect_matching(g, 5)
+    partner = {e[0]: e[1] for e in m}
+    choices = {p: partner[p[0]] for p in admissible_pairs(g, m)}
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return induce_system(w)
+
+    monkeypatch.setattr(generators, "induce_system", counted)
+    w = matching_weights(g, m, choices, 5)
+    assert calls == [w]
+
+
 def test_gen_bipartite_distinct_choices_distinct_systems():
     h = 4
     pairs = [(i, j) for i in range(1, h + 1) for j in range(i + 1, h + 1)]
@@ -114,6 +133,11 @@ def test_join_graphs():
     b = gen_join_gamma(10, Q(1, 2))
     assert b.n == 10 and not b.has_edge(1, 2) and b.has_edge(6, 7)
     assert gen_join(1).edges == frozenset({(1, 2)})
+
+
+def test_gen_join_is_half_join_gamma():
+    for n in range(1, 9):
+        assert gen_join(n).edges == gen_join_gamma(2 * n, Q(1, 2)).edges
 
 
 def test_monotone_matrix_validation():
