@@ -37,7 +37,8 @@ from .metrize import (
     realize_weights,
     verify_witness,
 )
-from .rational import Q, rational_to_text
+from . import __version__
+from .rational import BACKEND, Q, rational_to_text
 
 FIXTURES = importlib.resources.files("pathsystems") / "fixtures"
 
@@ -216,11 +217,11 @@ def cmd_gen(args):
             for i in range(1, h + 1)
             for j in range(i + 1, h + 1)
         }
-        g, w = generators.gen_bipartite(h, choices, args.seed)
+        g, w, system = generators.gen_bipartite(h, choices, args.seed)
         doc = {
             "graph": jsonio.graph_to_json(g),
             "weights": jsonio.weights_to_json(w),
-            "system": jsonio.system_to_json(induce_system(w).system),
+            "system": jsonio.system_to_json(system),
         }
     elif args.family == "gnp-matching":
         g = generators.gen_gnp(args.n, Q(args.p), args.seed)
@@ -326,6 +327,9 @@ def build_parser():
         prog="pathsystems",
         description="Path systems on graphs: consistency, resumes, exact "
         "metrizability tests, generators, counting, and VC classes.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"pathsystems {__version__} ({BACKEND})"
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
     parser.add_argument(

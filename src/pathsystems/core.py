@@ -10,6 +10,7 @@ recording, for each non-edge pair, one interior vertex of its path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -47,9 +48,18 @@ def pair(u, v):
     return (u, v) if u < v else (v, u)
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n):
+    return tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1))
+
+
 def all_pairs(n):
-    """All unordered pairs of [n] in lexicographic order."""
-    return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    """All unordered pairs of [n] in lexicographic order.
+
+    The pair tuples are shared by every call with the same n, so the keys
+    of every pseudometric on [n] are one set of objects.
+    """
+    return list(_pairs(n))
 
 
 def _check_vertex(v, n):
@@ -245,7 +255,10 @@ class TripleSet:
             _check_vertex(a, self.n)
             _check_vertex(b, self.n)
             _check_vertex(c, self.n)
-        object.__setattr__(self, "triples", canon)
+        # A frozenset of canonical triples is kept as given, so a triple set
+        # built from shared triples (a closure, say) does not copy them.
+        if type(self.triples) is not frozenset or canon != self.triples:
+            object.__setattr__(self, "triples", canon)
 
     def __contains__(self, t):
         return pointed_triple(*t) in self.triples

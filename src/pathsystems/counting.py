@@ -4,7 +4,7 @@ product formulas, an asymptotics check, and the signature-separation
 experiment.
 
 Each closed-form count is paired with an independent enumeration oracle;
-products are evaluated as one exact fraction and asserted to reduce to an
+products are evaluated as one exact fraction and checked to reduce to an
 integer.
 """
 
@@ -24,6 +24,7 @@ from .core import (
     pair,
 )
 from .metrize import is_strictly_metric, resume_signature
+from .rational import ensure
 
 __all__ = [
     "count_d2",
@@ -126,7 +127,7 @@ def boxed_count(r, s, t):
     for i in range(1, r + 1):
         for j in range(1, s + 1):
             total *= Fraction(i + j + t - 1, i + j - 1)
-    assert total.denominator == 1
+    ensure(total.denominator == 1, "MacMahon product is an integer")
     return total.numerator
 
 
@@ -176,7 +177,7 @@ def sym_count(r, t):
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
             total *= Fraction(i + j + t - 1, i + j - 1)
-    assert total.denominator == 1
+    ensure(total.denominator == 1, "Andrews product is an integer")
     return total.numerator
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .core import Graph, PathSystem, all_pairs, pair
 from .metrize import WeightFunction, induce_system
-from .rational import Q
+from .rational import Q, ensure
 
 __all__ = [
     "MonotoneMatrix",
@@ -190,6 +190,11 @@ def matching_weights(g, matching, choices, noise_seed):
     noise is drawn until the induced geodesics are certified unique, and
     every chosen path is checked to appear in that certified system.
     """
+    return _certified_matching_weights(g, matching, choices, noise_seed)[0]
+
+
+def _certified_matching_weights(g, matching, choices, noise_seed):
+    """`matching_weights` with the certified system the weights induce."""
     adm = admissible_pairs(g, matching)
     if sorted(choices) != sorted(adm):
         raise ValueError("choices must cover exactly the admissible pairs")
@@ -214,8 +219,9 @@ def matching_weights(g, matching, choices, noise_seed):
             classes[e] = W_OTHER
     wf, induced = _certified_weights(g, classes, random.Random(noise_seed))
     for xi, mid, xj in chosen_paths:
-        assert induced.path(xi, xj) == (min(xi, xj), mid, max(xi, xj))
-    return wf
+        path = (min(xi, xj), mid, max(xi, xj))
+        ensure(induced.path(xi, xj) == path, "chosen path is the geodesic")
+    return wf, induced
 
 
 def gen_bipartite(half_n, choices, noise_seed):
@@ -224,14 +230,14 @@ def gen_bipartite(half_n, choices, noise_seed):
     Vertices x_i = i and y_i = half_n + i; the matching is x_i y_i, and
     every pair i < j is admissible.  `choices[(i, j)]`, either i or j,
     names the midpoint y_k of the chosen path x_i y_k x_j, which
-    `matching_weights` makes the unique geodesic.  Returns the graph and
-    the weights.
+    `matching_weights` makes the unique geodesic.  Returns the graph, the
+    weights and the path system they induce, certified unique.
     """
     h = int(half_n)
     g = Graph(2 * h, [(i, h + j) for i in range(1, h + 1) for j in range(1, h + 1)])
     matching = [(i, h + i) for i in range(1, h + 1)]
     midpoints = {p: h + k for p, k in choices.items()}
-    return g, matching_weights(g, matching, midpoints, noise_seed)
+    return (g, *_certified_matching_weights(g, matching, midpoints, noise_seed))
 
 
 def gen_join(n):

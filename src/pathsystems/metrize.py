@@ -29,7 +29,7 @@ from .core import (
     pointed_triple,
 )
 from .ratlp import LinearSystem, solve_feasibility
-from .rational import Q, ZERO, ONE
+from .rational import Q, ZERO, ONE, ensure
 
 __all__ = [
     "Pseudometric",
@@ -244,7 +244,7 @@ def _farkas_to_alpha(n, colinear, eq_triples, ineq_triples, cert):
         if val:
             alpha[s] = val
     witness = WitnessAlpha(alpha)
-    assert verify_witness(TripleSet(n, frozenset(colinear)), witness)
+    ensure(verify_witness(TripleSet(n, frozenset(colinear)), witness), "triple-combination witness")
     return witness
 
 
@@ -254,7 +254,7 @@ def is_metric(sys):
     if not res.feasible:
         return None
     rho = _metric_from_solution(sys.n, res.solution)
-    assert rho.is_metric()
+    ensure(rho.is_metric(), "metric LP solution is a metric")
     return rho
 
 
@@ -370,7 +370,7 @@ def is_realizable(S):
     res = solve_feasibility(system)
     if res.feasible:
         rho = _metric_from_solution(n, res.solution)
-        assert triples_of_metric(rho).triples == S.triples
+        ensure(triples_of_metric(rho).triples == S.triples, "pseudometric realizes the triple set")
         return RealizabilityResult(True, metric=rho)
     witness = _farkas_to_alpha(n, S.triples, eq_triples, ineq_triples, res.certificate)
     return RealizabilityResult(False, witness=witness)
@@ -397,6 +397,10 @@ def _completion_feasible(n, triples, residual):
     )
     system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
     return solve_feasibility(system).feasible
+
+
+class _Budget(Exception):
+    """The wall-clock budget of an integral witness search ran out."""
 
 
 def integral_witness_search(S, time_budget=None):
@@ -426,9 +430,6 @@ def integral_witness_search(S, time_budget=None):
         if _completion_feasible(n, universe, shifted):
             candidates.append(t)
     nodes = 0
-
-    class _Budget(Exception):
-        pass
 
     def recurse(ix, remaining, residual):
         nonlocal nodes
@@ -470,6 +471,10 @@ def integral_witness_search(S, time_budget=None):
         found = recurse(0, m, list(target))
     except _Budget:
         return SearchOutcome("inconclusive", nodes=nodes)
+    finally:
+        # recurse holds itself through its closure; dropping the name frees
+        # the search state now instead of at the next cyclic collection.
+        del recurse
     if found is not None:
         return SearchOutcome("found", multiset=found, nodes=nodes)
     return SearchOutcome("not_found", nodes=nodes)
@@ -497,5 +502,5 @@ def closure(S):
         if not solve_feasibility(system).feasible:
             added.add(t)
     result = TripleSet(n, frozenset(added))
-    assert is_realizable(result).realizable
+    ensure(is_realizable(result).realizable, "closure is realizable")
     return result

@@ -1,21 +1,40 @@
-"""Exact rational arithmetic shared across the package.
+"""Exact rational arithmetic shared across the package, and the error
+every failed exact re-check raises.
 
 Every numeric decision in this library is made in exact rational
 arithmetic; no floating point appears anywhere on a decision path.
-gmpy2's mpq (the optional `fast` extra) is used when available (roughly
-25x faster than fractions.Fraction); the stdlib Fraction is a drop-in
-fallback.
+gmpy2's mpq (the optional `fast` extra) is used when available; the
+stdlib Fraction is a drop-in fallback.  `BACKEND` names the one in use.
+The LP core pivots over Python ints and builds rationals only for its
+results, so the backend matters mostly outside it.
+
+Every solution, certificate and witness is re-checked exactly before it
+is returned; `ensure` makes each re-check raise `VerificationError`, so
+the checks also run under `python -O`, which strips `assert`.
 """
 
 from fractions import Fraction
 
 try:
     from gmpy2 import mpq as Q
+
+    BACKEND = "gmpy2.mpq"
 except ImportError:  # pragma: no cover
     Q = Fraction
+    BACKEND = "fractions.Fraction"
 
 ZERO = Q(0)
 ONE = Q(1)
+
+
+class VerificationError(RuntimeError):
+    """An exact re-check of a computed result failed."""
+
+
+def ensure(condition, what):
+    """Raise VerificationError naming `what` unless `condition` holds."""
+    if not condition:
+        raise VerificationError(f"re-check failed: {what}")
 
 
 def rat(num, den=1):

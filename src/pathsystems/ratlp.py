@@ -13,16 +13,22 @@ pivot rule:
 * phase-1 simplex on the Farkas certificate system (used when rows far
   outnumber variables; its dual vector yields a primal witness).
 
+The tableau works over Python ints: each row holds integer numerators
+over one positive row denominator, and rationals (`Q`) are built only
+when the solution, the duals or the objective are read.
+
 Either way the verdict is identical: every returned witness is re-checked
 against all constraints exactly, and every certificate is re-verified,
-before being returned.
+before being returned; a failed re-check raises `VerificationError`,
+also under `python -O`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import gcd, lcm
 
-from .rational import Q, ZERO, ONE
+from .rational import Q, ZERO, ONE, ensure
 
 __all__ = [
     "LinearSystem",
@@ -101,61 +107,105 @@ class OptimizeResult:
 # ---------------------------------------------------------------------------
 
 
+def _reduced(nums, den):
+    """The row nums/den in lowest terms (den > 0)."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
+
+
+def _integer_row(values):
+    """Exact rationals as integer numerators over one positive denominator."""
+    terms = [(j, int(q.numerator), int(q.denominator)) for j, q in enumerate(values) if q]
+    den = lcm(*(d for _, _, d in terms))
+    nums = [0] * len(values)
+    for j, num, d in terms:
+        nums[j] = num * (den // d)
+    return nums, den
+
+
+def _eliminate(row, den, f, prow, pden, support):
+    """row/den - (f/den) * prow/pden over integers, in lowest terms.
+
+    `support` lists the columns where prow is non-zero; pden > 0.  `row`
+    itself is updated when pden divides f.
+    """
+    g = gcd(f, pden)
+    if g != 1:
+        f //= g
+        pden //= g
+    if pden != 1:
+        row = [x * pden for x in row]
+        den *= pden
+    for j in support:
+        row[j] -= f * prow[j]
+    return _reduced(row, den)
+
+
 class _Tableau:
     """Dense tableau for min c.z s.t. A z = b, z >= 0 with b >= 0.
 
-    m artificial columns are appended and form the initial basis.
+    m artificial columns are appended and form the initial basis.  Every
+    row, the cost row included, holds integer numerators over one positive
+    integer row denominator: entry j of row i is T[i][j] / den[i], and the
+    reduced cost of column j is cost[j] / cden.  A pivot puts each row it
+    touches back in lowest terms.  Rationals are built only when the
+    objective, the solution or the duals are read.
     """
 
     def __init__(self, rows, rhs):
         self.m = len(rows)
         self.n = len(rows[0]) if rows else 0
         self.width = self.n + self.m  # artificials appended
-        self.T = []
+        self.T, self.den = [], []
         for i, row in enumerate(rows):
-            art = [ZERO] * self.m
-            art[i] = ONE
-            self.T.append(list(row) + art + [rhs[i]])
+            nums, den = _integer_row([*row, rhs[i]])
+            art = [0] * self.m
+            art[i] = den
+            self.T.append(nums[:-1] + art + nums[-1:])
+            self.den.append(den)
         self.basis = [self.n + i for i in range(self.m)]
         # Phase-1 reduced costs: c = (0..0, 1..1); y = all-ones.
-        self.cost = [ZERO] * (self.width + 1)
-        for j in range(self.n):
-            s = ZERO
-            for i in range(self.m):
-                s += self.T[i][j]
-            self.cost[j] = -s
-        self.cost[self.width] = -sum((r[self.width] for r in self.T), ZERO)
+        cden = lcm(*self.den)
+        cost = [0] * (self.width + 1)
+        for row, den in zip(self.T, self.den):
+            scale = cden // den
+            for j in range(self.n):
+                if row[j]:
+                    cost[j] -= scale * row[j]
+            cost[self.width] -= scale * row[self.width]
+        self.cost, self.cden = _reduced(cost, cden)
 
     @property
     def objective(self):
-        return -self.cost[self.width]
+        return Q(-self.cost[self.width], self.cden)
 
     def pivot(self, r, c):
-        T = self.T
+        T, den = self.T, self.den
         row = T[r]
         piv = row[c]
-        if piv != ONE:
-            inv = ONE / piv
-            T[r] = row = [x * inv for x in row]
-        for other in T:
-            if other is row:
-                continue
+        if piv < 0:
+            row = [-x for x in row]
+            piv = -piv
+        # Row r divided by its pivot entry: the numerators over piv.
+        row, piv = _reduced(row, piv)
+        T[r], den[r] = row, piv
+        support = [j for j, x in enumerate(row) if x]
+        for i, other in enumerate(T):
             f = other[c]
-            if f:
-                for j, rv in enumerate(row):
-                    if rv:
-                        other[j] -= f * rv
+            if f and i != r:
+                T[i], den[i] = _eliminate(other, den[i], f, row, piv, support)
         f = self.cost[c]
         if f:
-            for j, rv in enumerate(row):
-                if rv:
-                    self.cost[j] -= f * rv
+            self.cost, self.cden = _eliminate(self.cost, self.cden, f, row, piv, support)
         self.basis[r] = c
 
     def run(self, allowed):
         """Bland's rule over columns < allowed; returns "optimal" or "unbounded"."""
-        T, cost = self.T, self.cost
+        w, basis = self.width, self.basis
         while True:
+            cost = self.cost
             enter = -1
             for j in range(allowed):
                 if cost[j] < 0:
@@ -163,17 +213,19 @@ class _Tableau:
                     break
             if enter < 0:
                 return "optimal"
+            # Minimum ratio T[i][w] / T[i][enter] over a > 0; the row
+            # denominators cancel, and cross-multiplying compares exactly.
             leave = -1
-            best = None
-            for i in range(self.m):
-                a = T[i][enter]
+            for i, row in enumerate(self.T):
+                a = row[enter]
                 if a > 0:
-                    ratio = T[i][self.width] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    b = row[w]
+                    if leave < 0:
+                        leave, best_b, best_a = i, b, a
+                        continue
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, best_b, best_a = i, b, a
             if leave < 0:
                 return "unbounded"
             self.pivot(leave, enter)
@@ -181,18 +233,18 @@ class _Tableau:
     def phase1(self):
         """Minimize the artificial sum; returns the optimum (>= 0)."""
         status = self.run(self.n)
-        assert status == "optimal"  # phase-1 objective is bounded below by 0
+        ensure(status == "optimal", "phase-1 objective is bounded below by 0")
         return self.objective
 
     def duals(self):
         """Phase-1 dual vector y (length m), from artificial reduced costs."""
-        return [ONE - self.cost[self.n + i] for i in range(self.m)]
+        return [Q(self.cden - self.cost[self.n + i], self.cden) for i in range(self.m)]
 
     def solution(self):
         z = [ZERO] * self.n
         for i, bv in enumerate(self.basis):
             if bv < self.n:
-                z[bv] = self.T[i][self.width]
+                z[bv] = Q(self.T[i][self.width], self.den[i])
         return z
 
     def drive_out_artificials(self):
@@ -212,22 +264,19 @@ class _Tableau:
                 keep.append(i)
             # else: redundant all-zero row, drop it
         self.T = [self.T[i] for i in keep]
+        self.den = [self.den[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
         self.m = len(self.T)
 
     def set_objective(self, c):
         """Install reduced costs for a new objective vector (length n)."""
-        cost = list(c) + [ZERO] * (self.width - self.n) + [ZERO]
-        for i, bv in enumerate(self.basis):
-            cb = cost[bv] if bv < self.n else ZERO
-            if cb:
-                for j, rv in enumerate(self.T[i]):
-                    if rv:
-                        cost[j] -= cb * rv
-        # Zero out reduced costs of basic columns exactly.
-        for bv in self.basis:
-            cost[bv] = ZERO
-        self.cost = cost
+        cost, cden = _integer_row([*c] + [0] * (self.width - self.n + 1))
+        for row, den, bv in zip(self.T, self.den, self.basis):
+            f = cost[bv]
+            if f:
+                support = [j for j, x in enumerate(row) if x]
+                cost, cden = _eliminate(cost, cden, f, row, den, support)
+        self.cost, self.cden = cost, cden
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +337,13 @@ def _extract_x(system, z):
 
 
 def _check_solution(system, x):
+    """Exact check of x against every row; zero terms add nothing."""
+    support = [(v, xv) for v, xv in enumerate(x) if xv]
     for a, b in system.equalities:
-        if sum((ai * xi for ai, xi in zip(a, x)), ZERO) != b:
+        if sum((a[v] * xv for v, xv in support if a[v]), ZERO) != b:
             return False
     for a, b in system.inequalities:
-        if sum((ai * xi for ai, xi in zip(a, x)), ZERO) < b:
+        if sum((a[v] * xv for v, xv in support if a[v]), ZERO) < b:
             return False
     if system.nonnegative_vars and any(xi < 0 for xi in x):
         return False
@@ -300,7 +351,10 @@ def _check_solution(system, x):
 
 
 def verify_certificate(system, cert):
-    """Exact Farkas check, independent of how the certificate was found."""
+    """Exact Farkas check, independent of how the certificate was found.
+
+    Zero multipliers and zero coefficients are skipped: they add exactly 0.
+    """
     n_eq, n_ineq = len(system.equalities), len(system.inequalities)
     if len(cert.lam) != n_ineq or len(cert.beta) != n_eq:
         return False
@@ -314,16 +368,13 @@ def verify_certificate(system, cert):
             return False
     combo = [ZERO] * system.num_vars
     total = ZERO
-    for (a, b), beta in zip(system.equalities, cert.beta):
-        if beta:
-            for v in range(system.num_vars):
-                combo[v] += beta * a[v]
-            total += beta * b
-    for (a, b), lam in zip(system.inequalities, cert.lam):
-        if lam:
-            for v in range(system.num_vars):
-                combo[v] += lam * a[v]
-            total += lam * b
+    for rows, mults in ((system.equalities, cert.beta), (system.inequalities, cert.lam)):
+        for (a, b), mult in zip(rows, mults):
+            if mult:
+                for v, av in enumerate(a):
+                    if av:
+                        combo[v] += mult * av
+                total += mult * b
     if bound is not None:
         for v in range(system.num_vars):
             combo[v] += bound[v]
@@ -341,7 +392,7 @@ def _feasibility_direct(system):
     opt = tab.phase1()
     if opt == 0:
         x = _extract_x(system, tab.solution())
-        assert _check_solution(system, x)
+        ensure(_check_solution(system, x), "direct-route solution")
         return FeasibilityResult(True, solution=x)
     y = tab.duals()
     n_eq = len(system.equalities)
@@ -352,15 +403,14 @@ def _feasibility_direct(system):
     if system.nonnegative_vars:
         # Sum of rows is <= 0 componentwise; bound multipliers close the gap.
         combo = [ZERO] * system.num_vars
-        for (a, _), m in zip(system.equalities, beta):
-            for v in range(system.num_vars):
-                combo[v] += m * a[v]
-        for (a, _), m in zip(system.inequalities, lam):
-            for v in range(system.num_vars):
-                combo[v] += m * a[v]
+        for (a, _), m in zip(system.equalities + system.inequalities, beta + lam):
+            if m:
+                for v, av in enumerate(a):
+                    if av:
+                        combo[v] += m * av
         bound = tuple(-c for c in combo)
     cert = FarkasCertificate(lam=lam, beta=beta, bound=bound)
-    assert verify_certificate(system, cert)
+    ensure(verify_certificate(system, cert), "direct-route Farkas certificate")
     return FeasibilityResult(False, certificate=cert)
 
 
@@ -390,13 +440,13 @@ def _feasibility_via_dual(system):
             z[n_ineq + 2 * j] - z[n_ineq + 2 * j + 1] for j in range(n_eq)
         )
         cert = FarkasCertificate(lam=lam, beta=beta)
-        assert verify_certificate(system, cert)
+        ensure(verify_certificate(system, cert), "via-dual Farkas certificate")
         return FeasibilityResult(False, certificate=cert)
     y = tab.duals()
     t = y[V]
-    assert t > 0
+    ensure(t > 0, "via-dual witness scale is positive")
     x = tuple(-y[v] / t for v in range(V))
-    assert _check_solution(system, x)
+    ensure(_check_solution(system, x), "via-dual solution")
     return FeasibilityResult(True, solution=x)
 
 
@@ -422,7 +472,7 @@ def maximize(system):
     tab = _Tableau(rows, rhs)
     if tab.phase1() != 0:
         res = solve_feasibility(system)
-        assert not res.feasible
+        ensure(not res.feasible, "both phase-1 runs find the system infeasible")
         return OptimizeResult("infeasible", certificate=res.certificate)
     tab.drive_out_artificials()
     tab.set_objective([-c for c in obj])  # maximize = minimize the negation
@@ -430,6 +480,6 @@ def maximize(system):
     if status == "unbounded":
         return OptimizeResult("unbounded")
     x = _extract_x(system, tab.solution())
-    assert _check_solution(system, x)
+    ensure(_check_solution(system, x), "optimal solution")
     value = sum((c * xi for c, xi in zip(system.objective, x)), ZERO)
     return OptimizeResult("optimal", value=value, solution=x)

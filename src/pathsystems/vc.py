@@ -15,6 +15,7 @@ from math import comb
 
 from .core import require_consistent
 from .generators import _bernoulli, gen_gnp
+from .rational import ensure
 
 __all__ = [
     "SetSystem",
@@ -167,7 +168,8 @@ def sample_lm(n, k, p, seed):
     ]
     y = SimplicialComplex(n, k, frozenset(faces))
     if k == 1:
-        assert {tuple(sorted(f)) for f in y.faces} == gen_gnp(n, p, seed).edges
+        edges = {tuple(sorted(f)) for f in y.faces}
+        ensure(edges == gen_gnp(n, p, seed).edges, "1-faces are the G(n, p) edges")
     return y
 
 
@@ -233,9 +235,9 @@ def build_maximum_class(y, chooser=None, seed=None):
             raise NoCompatibleExtension(s)
         a = chooser(s, cands)
         ext = s | {a}
-        assert extension_base(y, ext) == s
+        ensure(extension_base(y, ext) == s, "extension base")
         sets.add(ext)
     family = SetSystem(y.n, frozenset(sets))
-    assert len(family.sets) == sauer_bound(y.n, d)
-    assert vc_dim(family) == d
+    ensure(len(family.sets) == sauer_bound(y.n, d), "family meets the Sauer bound")
+    ensure(vc_dim(family) == d, "VC dimension")
     return family

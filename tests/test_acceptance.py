@@ -237,7 +237,7 @@ def test_criterion_10_constructions_certified():
     for seed in range(500):
         rng = random.Random(seed)
         choices = {p: rng.choice(p) for p in index_pairs}
-        _, w = gen_bipartite(h, choices, seed)
+        _, w, _ = gen_bipartite(h, choices, seed)
         out = induce_system(w)
         assert out.unique
         for (i, j), k in choices.items():

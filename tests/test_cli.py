@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from pathsystems import jsonio
+from pathsystems import __version__, cli, generators, jsonio
 from pathsystems.cli import main
 from pathsystems.core import Graph, PathSystem, is_consistent
 from pathsystems.metrize import WeightFunction, induce_system
+from pathsystems.rational import BACKEND
 
 from test_core import line_system
 
@@ -175,6 +176,29 @@ def test_gen_bipartite(capsys):
     res = induce_system(w)
     assert res.unique
     assert jsonio.system_from_json(doc["system"]) == res.system
+
+
+def test_gen_bipartite_induces_once(capsys, monkeypatch):
+    # The system printed is the one gen_bipartite certified; seed 2 at
+    # half-n 3 is certified on its first noise draw.
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return induce_system(w)
+
+    monkeypatch.setattr(generators, "induce_system", counted)
+    monkeypatch.setattr(cli, "induce_system", counted)
+    code, _ = run(capsys, "--seed", "2", "gen", "bipartite", "--half-n", "3")
+    assert code == 0 and len(calls) == 1
+
+
+def test_version_names_rational_backend(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--version"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out == f"pathsystems {__version__} ({BACKEND})\n"
+    assert BACKEND in ("fractions.Fraction", "gmpy2.mpq")
 
 
 def test_gen_gnp_matching(capsys):

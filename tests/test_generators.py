@@ -116,8 +116,8 @@ def test_gen_bipartite_distinct_choices_distinct_systems():
     c1 = {p: p[0] for p in pairs}
     c2 = dict(c1)
     c2[(1, 2)] = 2
-    _, w1 = gen_bipartite(h, c1, 0)
-    _, w2 = gen_bipartite(h, c2, 0)
+    _, w1, _ = gen_bipartite(h, c1, 0)
+    _, w2, _ = gen_bipartite(h, c2, 0)
     s1 = induce_system(w1).system
     s2 = induce_system(w2).system
     assert s1 != s2

@@ -1,13 +1,153 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathsystems.rational import Q
+from pathsystems import ratlp
+from pathsystems.rational import Q, ZERO, ONE
 from pathsystems.ratlp import (
     LinearSystem,
     maximize,
     solve_feasibility,
     verify_certificate,
 )
+
+
+# The Fraction tableau that `ratlp._Tableau` replaced, kept as the oracle
+# for the integer one: same interface, Bland's rule, every entry a Q.
+class FractionTableau:
+    """Dense tableau for min c.z s.t. A z = b, z >= 0 with b >= 0.
+
+    m artificial columns are appended and form the initial basis.
+    """
+
+    def __init__(self, rows, rhs):
+        self.m = len(rows)
+        self.n = len(rows[0]) if rows else 0
+        self.width = self.n + self.m  # artificials appended
+        self.T = []
+        for i, row in enumerate(rows):
+            art = [ZERO] * self.m
+            art[i] = ONE
+            self.T.append(list(row) + art + [rhs[i]])
+        self.basis = [self.n + i for i in range(self.m)]
+        # Phase-1 reduced costs: c = (0..0, 1..1); y = all-ones.
+        self.cost = [ZERO] * (self.width + 1)
+        for j in range(self.n):
+            s = ZERO
+            for i in range(self.m):
+                s += self.T[i][j]
+            self.cost[j] = -s
+        self.cost[self.width] = -sum((r[self.width] for r in self.T), ZERO)
+
+    @property
+    def objective(self):
+        return -self.cost[self.width]
+
+    def pivot(self, r, c):
+        T = self.T
+        row = T[r]
+        piv = row[c]
+        if piv != ONE:
+            inv = ONE / piv
+            T[r] = row = [x * inv for x in row]
+        for other in T:
+            if other is row:
+                continue
+            f = other[c]
+            if f:
+                for j, rv in enumerate(row):
+                    if rv:
+                        other[j] -= f * rv
+        f = self.cost[c]
+        if f:
+            for j, rv in enumerate(row):
+                if rv:
+                    self.cost[j] -= f * rv
+        self.basis[r] = c
+
+    def run(self, allowed):
+        """Bland's rule over columns < allowed; returns "optimal" or "unbounded"."""
+        T, cost = self.T, self.cost
+        while True:
+            enter = -1
+            for j in range(allowed):
+                if cost[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal"
+            leave = -1
+            best = None
+            for i in range(self.m):
+                a = T[i][enter]
+                if a > 0:
+                    ratio = T[i][self.width] / a
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+    def phase1(self):
+        """Minimize the artificial sum; returns the optimum (>= 0)."""
+        status = self.run(self.n)
+        assert status == "optimal"  # phase-1 objective is bounded below by 0
+        return self.objective
+
+    def duals(self):
+        """Phase-1 dual vector y (length m), from artificial reduced costs."""
+        return [ONE - self.cost[self.n + i] for i in range(self.m)]
+
+    def solution(self):
+        z = [ZERO] * self.n
+        for i, bv in enumerate(self.basis):
+            if bv < self.n:
+                z[bv] = self.T[i][self.width]
+        return z
+
+    def drive_out_artificials(self):
+        """Pivot artificials out of the basis; drop redundant rows."""
+        keep = []
+        for i in range(self.m):
+            if self.basis[i] < self.n:
+                keep.append(i)
+                continue
+            piv_col = -1
+            for j in range(self.n):
+                if self.T[i][j]:
+                    piv_col = j
+                    break
+            if piv_col >= 0:
+                self.pivot(i, piv_col)
+                keep.append(i)
+            # else: redundant all-zero row, drop it
+        self.T = [self.T[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+        self.m = len(self.T)
+
+    def set_objective(self, c):
+        """Install reduced costs for a new objective vector (length n)."""
+        cost = list(c) + [ZERO] * (self.width - self.n) + [ZERO]
+        for i, bv in enumerate(self.basis):
+            cb = cost[bv] if bv < self.n else ZERO
+            if cb:
+                for j, rv in enumerate(self.T[i]):
+                    if rv:
+                        cost[j] -= cb * rv
+        # Zero out reduced costs of basic columns exactly.
+        for bv in self.basis:
+            cost[bv] = ZERO
+        self.cost = cost
 
 
 def satisfies(system, x):
@@ -95,22 +235,125 @@ def test_exact_rationals_no_drift():
 small_entries = st.integers(min_value=-4, max_value=4)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=3),
-    st.lists(st.tuples(st.lists(small_entries, min_size=3, max_size=3), small_entries), max_size=4),
-    st.lists(st.tuples(st.lists(small_entries, min_size=3, max_size=3), small_entries), max_size=4),
-    st.booleans(),
-)
-def test_feasibility_sound_random(nv_unused, eqs, ineqs, nonneg):
-    system = LinearSystem(
-        3,
-        equalities=tuple((tuple(c), r) for c, r in eqs),
-        inequalities=tuple((tuple(c), r) for c, r in ineqs),
-        nonnegative_vars=nonneg,
+@st.composite
+def integer_systems(draw, max_vars=10, max_rows=30):
+    """Systems of up to max_vars variables and max_rows small integer rows."""
+    nv = draw(st.integers(min_value=1, max_value=max_vars))
+    row = st.tuples(st.lists(small_entries, min_size=nv, max_size=nv).map(tuple), small_entries)
+    n_eq = draw(st.integers(min_value=0, max_value=max_rows))
+    eqs = draw(st.lists(row, max_size=n_eq))
+    ineqs = draw(st.lists(row, max_size=max_rows - len(eqs)))
+    return LinearSystem(
+        nv,
+        equalities=tuple(eqs),
+        inequalities=tuple(ineqs),
+        nonnegative_vars=draw(st.booleans()),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_systems())
+def test_feasibility_sound_random(system):
     res = solve_feasibility(system)
     if res.feasible:
         assert satisfies(system, res.solution)
     else:
         assert verify_certificate(system, res.certificate)
+
+
+small_rationals = st.builds(Q, small_entries, st.sampled_from([1, 1, 1, 2, 3]))
+
+
+@st.composite
+def rational_systems(draw, with_objective=False):
+    """Rational systems of up to 5 variables and 14 rows.
+
+    Row counts fall on both sides of the via-dual threshold (rows >
+    num_vars + 1).  An equality may be repeated with a factor -2, -1 or 2,
+    so the artificial of the copy can stay basic at level 0 after phase 1
+    and `drive_out_artificials` must pivot it out or drop its row.
+    """
+    nv = draw(st.integers(min_value=1, max_value=5))
+    row = st.tuples(st.lists(small_rationals, min_size=nv, max_size=nv).map(tuple), small_rationals)
+    eqs = draw(st.lists(row, max_size=6))
+    if eqs and draw(st.booleans()):
+        (a, b), k = draw(st.sampled_from(eqs)), draw(st.sampled_from([-2, -1, 2]))
+        eqs.insert(draw(st.integers(0, len(eqs))), (tuple(k * x for x in a), k * b))
+    ineqs = draw(st.lists(row, max_size=7))
+    objective = None
+    if with_objective:
+        objective = tuple(draw(st.lists(small_rationals, min_size=nv, max_size=nv)))
+    return LinearSystem(
+        nv,
+        equalities=tuple(eqs),
+        inequalities=tuple(ineqs),
+        objective=objective,
+        nonnegative_vars=draw(st.booleans()),
+    )
+
+
+def with_fraction_tableau(solve, system):
+    with mock.patch.object(ratlp, "_Tableau", FractionTableau):
+        return solve(system)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_feasibility_matches_fraction_oracle(system):
+    assert solve_feasibility(system) == with_fraction_tableau(solve_feasibility, system)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems(with_objective=True))
+def test_maximize_matches_fraction_oracle(system):
+    assert maximize(system) == with_fraction_tableau(maximize, system)
+
+
+O_SCRIPT = textwrap.dedent(
+    """
+    import json
+    from pathsystems import VerificationError, ratlp
+    from pathsystems.ratlp import LinearSystem, solve_feasibility
+
+    assert False, "asserts must be stripped"
+    few = [  # rows <= num_vars + 1: the direct route
+        LinearSystem(2, equalities=(((1, 1), 3),)),
+        LinearSystem(1, equalities=(((1,), 1),), inequalities=(((1,), 2),)),
+    ]
+    many = [  # rows > num_vars + 1: the via-dual route
+        LinearSystem(1, inequalities=(((1,), 1), ((1,), 2), ((-1,), -5))),
+        LinearSystem(1, inequalities=(((1,), 1), ((1,), 2), ((-1,), -1))),
+    ]
+    def corrupt(read):
+        def wrong(tab):
+            values = read(tab)
+            values[0] += 1
+            return values
+        return wrong
+
+    ratlp._Tableau.solution = corrupt(ratlp._Tableau.solution)
+    ratlp._Tableau.duals = corrupt(ratlp._Tableau.duals)
+    messages = []
+    for system in few + many:
+        try:
+            solve_feasibility(system)
+            messages.append(None)
+        except VerificationError as e:
+            messages.append(str(e))
+    print(json.dumps(messages))
+    """
+)
+
+
+def test_rechecks_raise_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", O_SCRIPT], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    direct_ok, direct_cert, dual_ok, dual_cert = json.loads(out)
+    assert direct_ok == "re-check failed: direct-route solution"
+    assert direct_cert == "re-check failed: direct-route Farkas certificate"
+    assert dual_ok.startswith("re-check failed: via-dual")
+    assert dual_cert == "re-check failed: via-dual Farkas certificate"
