@@ -2,9 +2,10 @@
 
 Every subcommand reads and writes the canonical JSON schemas (TSV on
 request), is reproducible from its recorded seed, and exits 0 on success,
-1 on a property violation, 2 on usage errors and unreadable or malformed
-input files.  A command that needs a consistent system and is given an
-inconsistent one prints the violation report of `check` and exits 1.
+1 on a property violation, 2 on usage errors, invalid argument values
+and unreadable or malformed input files.  A command that needs a
+consistent system and is given an inconsistent one prints the violation
+report of `check` and exits 1.
 """
 
 from __future__ import annotations
@@ -444,6 +445,9 @@ def main(argv=None):
     except InconsistentSystemError as e:
         _emit(_consistency_report(e.verdict), args.format)
         return 1
+    except ValueError as e:
+        print(f"error: {e}", file=_sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
 """Exact counting: diameter-2 products, brute-force enumeration of
-consistent systems, boxed and symmetric plane partitions with their
-product formulas, an asymptotics check, and the signature-separation
+consistent systems, the product formulas for boxed and symmetric plane
+partitions, an asymptotics check, and the signature-separation
 experiment.
 
-Each closed-form count is paired with an independent enumeration oracle;
-products are evaluated as one exact fraction and checked to reduce to an
-integer.
+Products are evaluated as one exact fraction and checked to reduce to an
+integer; their independent enumeration oracles live in the tests.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ __all__ = [
     "count_d2",
     "enumerate_consistent",
     "boxed_count",
-    "boxed_brute",
     "sym_count",
-    "sym_brute",
     "asymptotic_check",
     "signature_separation_experiment",
 ]
@@ -131,42 +128,6 @@ def boxed_count(r, s, t):
     return total.numerator
 
 
-def _nonincreasing_rows(bounds, t):
-    """All non-increasing rows with row[j] <= bounds[j] (entries 0..t)."""
-    s = len(bounds)
-
-    def rec(j, prev):
-        if j == s:
-            yield ()
-            return
-        for v in range(min(prev, bounds[j]), -1, -1):
-            for rest in rec(j + 1, v):
-                yield (v, *rest)
-
-    yield from rec(0, t)
-
-
-def boxed_brute(r, s, t):
-    """Independent oracle: enumerate the r x s matrices directly."""
-    if min(r, s, t) < 0:
-        raise ValueError("dimensions must be non-negative")
-    if r == 0 or s == 0:
-        return 1
-    memo = {}
-
-    def count_below(prev, rows_left):
-        if rows_left == 0:
-            return 1
-        key = (prev, rows_left)
-        if key not in memo:
-            memo[key] = sum(
-                count_below(row, rows_left - 1) for row in _nonincreasing_rows(prev, t)
-            )
-        return memo[key]
-
-    return count_below((t,) * s, r)
-
-
 def sym_count(r, t):
     """Andrews' product for symmetric (r,t) plane partitions, exactly."""
     if r < 0 or t < 0:
@@ -179,50 +140,6 @@ def sym_count(r, t):
             total *= Fraction(i + j + t - 1, i + j - 1)
     ensure(total.denominator == 1, "Andrews product is an integer")
     return total.numerator
-
-
-def sym_brute(r, t):
-    """Independent oracle: enumerate symmetric matrices cell by cell."""
-    if r == 0:
-        return 1
-    grid = [[None] * r for _ in range(r)]
-    cells = [(i, j) for i in range(r) for j in range(i, r)]
-
-    def bound(i, j):
-        up = grid[i - 1][j] if i > 0 else t
-        left = grid[i][j - 1] if j > 0 else t
-        return min(up, left)
-
-    def rec(ix):
-        if ix == len(cells):
-            return 1
-        i, j = cells[ix]
-        total = 0
-        for v in range(bound(i, j), -1, -1):
-            grid[i][j] = v
-            grid[j][i] = v
-            total += rec(ix + 1)
-        grid[i][j] = None
-        grid[j][i] = None
-        return total
-
-    return rec(0)
-
-
-def is_boxed_plane_partition(matrix, r, s, t):
-    """Validate an r x s array of entries 0..t, non-increasing both ways."""
-    if len(matrix) != r or any(len(row) != s for row in matrix):
-        return False
-    for i in range(r):
-        for j in range(s):
-            v = matrix[i][j]
-            if not 0 <= v <= t:
-                return False
-            if j + 1 < s and matrix[i][j + 1] > v:
-                return False
-            if i + 1 < r and matrix[i + 1][j] > v:
-                return False
-    return True
 
 
 def asymptotic_check(n, digits=20):

@@ -213,9 +213,9 @@ def build_lp(sys):
     colinear = colinear_triples(sys).triples
     table = _delta_table(sys.n)
     npairs = len(all_pairs(sys.n))
-    eqs = [(vec, ZERO) for t, vec in table.items() if t in colinear]
-    ineqs = [(vec, ZERO) for t, vec in table.items() if t not in colinear]
-    ineqs += [(tuple(1 if j == i else 0 for j in range(npairs)), ONE) for i in range(npairs)]
+    eqs = [(vec, 0) for t, vec in table.items() if t in colinear]
+    ineqs = [(vec, 0) for t, vec in table.items() if t not in colinear]
+    ineqs += [(tuple(1 if j == i else 0 for j in range(npairs)), 1) for i in range(npairs)]
     return LinearSystem(num_vars=npairs, equalities=tuple(eqs), inequalities=tuple(ineqs))
 
 
@@ -300,7 +300,8 @@ def induce_system(w):
 
     Distances come from Floyd-Warshall over exact rationals; per source,
     geodesic counts are accumulated over tight predecessor edges in order
-    of increasing distance.
+    of increasing distance, and a vertex with one geodesic records its
+    one tight predecessor, so its path follows those links back.
     """
     g = w.graph
     if not g.is_connected():
@@ -330,6 +331,7 @@ def induce_system(w):
         du = dist[u]
         order = sorted(verts, key=lambda v: du[v])
         count = {u: 1}
+        pred = {}
         for v in order:
             if v == u:
                 continue
@@ -337,21 +339,16 @@ def induce_system(w):
             for z in g.neighbors(v):
                 if du[z] + w.w[pair(z, v)] == du[v]:
                     c += count[z]
+                    pred[v] = z
             count[v] = c
         for v in verts:
             if v <= u:
                 continue
             if count[v] != 1:
                 return InduceResult(False, tied_pair=(u, v), tie_count=count[v])
-            # Unique geodesic: walk back along the single tight predecessor.
             walk = [v]
-            cur = v
-            while cur != u:
-                for z in g.neighbors(cur):
-                    if du[z] + w.w[pair(z, cur)] == du[cur]:
-                        cur = z
-                        walk.append(z)
-                        break
+            while walk[-1] != u:
+                walk.append(pred[walk[-1]])
             paths[(u, v)] = tuple(reversed(walk))
     return InduceResult(True, system=PathSystem(n, paths))
 
@@ -364,8 +361,8 @@ def is_realizable(S):
     ineq_triples = [t for t in table if t not in S.triples]
     system = LinearSystem(
         num_vars=len(all_pairs(n)),
-        equalities=tuple((table[t], ZERO) for t in eq_triples),
-        inequalities=tuple((table[t], ONE) for t in ineq_triples),
+        equalities=tuple((table[t], 0) for t in eq_triples),
+        inequalities=tuple((table[t], 1) for t in ineq_triples),
     )
     res = solve_feasibility(system)
     if res.feasible:
@@ -392,9 +389,8 @@ def _completion_feasible(n, triples, residual):
     """Exists y >= 0 over `triples` with sum y_t Delta_t = residual?"""
     table = _delta_table(n)
     cols = [table[t] for t in triples]
-    eqs = tuple(
-        (tuple(col[i] for col in cols), Q(residual[i])) for i in range(len(residual))
-    )
+    # Rows from lists, not generators: see `ratlp._exact_vec`.
+    eqs = tuple((tuple([col[i] for col in cols]), r) for i, r in enumerate(residual))
     system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
     return solve_feasibility(system).feasible
 
@@ -448,8 +444,6 @@ def integral_witness_search(S, time_budget=None):
             return None
         if ix == len(candidates):
             return None
-        if sum(residual) != remaining:
-            return None
         if not _completion_feasible(n, candidates[ix:], residual):
             return None
         t = candidates[ix]
@@ -489,15 +483,15 @@ def closure(S):
     n = S.n
     npairs = len(all_pairs(n))
     table = _delta_table(n)
-    eqs = tuple((table[s], ZERO) for s in S)
+    eqs = tuple((table[s], 0) for s in S)
     added = set(S.triples)
     for t in table:
         if t in S.triples:
             continue
-        ineqs = [(table[t], ONE)]
+        ineqs = [(table[t], 1)]
         for r, vec in table.items():
             if r not in S.triples and r != t:
-                ineqs.append((vec, ZERO))
+                ineqs.append((vec, 0))
         system = LinearSystem(num_vars=npairs, equalities=eqs, inequalities=tuple(ineqs))
         if not solve_feasibility(system).feasible:
             added.add(t)

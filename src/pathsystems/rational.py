@@ -5,8 +5,9 @@ Every numeric decision in this library is made in exact rational
 arithmetic; no floating point appears anywhere on a decision path.
 gmpy2's mpq (the optional `fast` extra) is used when available; the
 stdlib Fraction is a drop-in fallback.  `BACKEND` names the one in use.
-The LP core pivots over Python ints and builds rationals only for its
-results, so the backend matters mostly outside it.
+Integer LP data stays integer: the LP core keeps int input as ints,
+pivots over Python ints, and builds rationals only for non-integer input
+and for its results, so the backend matters mostly outside it.
 
 Every solution, certificate and witness is re-checked exactly before it
 is returned; `ensure` makes each re-check raise `VerificationError`, so

@@ -13,9 +13,12 @@ pivot rule:
 * phase-1 simplex on the Farkas certificate system (used when rows far
   outnumber variables; its dual vector yields a primal witness).
 
-The tableau works over Python ints: each row holds integer numerators
-over one positive row denominator, and rationals (`Q`) are built only
-when the solution, the duals or the objective are read.
+Integer data stays integer from input to tableau: `LinearSystem` keeps
+int coefficients and right-hand sides as ints and turns only other
+values (Fraction/mpq, float, str) into `Q`.  The tableau works over
+Python ints: each row holds integer numerators over one positive row
+denominator, and rationals are built only when the solution, the duals
+or the objective are read.
 
 Either way the verdict is identical: every returned witness is re-checked
 against all constraints exactly, and every certificate is re-verified,
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .rational import Q, ZERO, ONE, ensure
+from .rational import Q, ZERO, ensure
 
 __all__ = [
     "LinearSystem",
@@ -41,9 +44,18 @@ __all__ = [
 ]
 
 
-def _qvec(values, length=None):
-    vec = tuple(Q(v) for v in values)
-    if length is not None and len(vec) != length:
+def _exact(v):
+    """v itself when it is an int, else v as a Q."""
+    return v if type(v) is int else Q(v)
+
+
+def _exact_vec(values, length):
+    # Rows are built from lists, here and in `_integer_row`: a tuple built
+    # from a generator is allocated at a guessed size and resized, which
+    # moves it between CPython's per-size tuple free lists, and LP rows of
+    # many lengths then leave megabytes parked in those lists.
+    vec = tuple([v if type(v) is int else Q(v) for v in values])
+    if len(vec) != length:
         raise ValueError(f"expected vector of length {length}, got {len(vec)}")
     return vec
 
@@ -54,6 +66,8 @@ class LinearSystem:
 
     equalities: (coeffs, rhs) meaning <coeffs, x> = rhs
     inequalities: (coeffs, rhs) meaning <coeffs, x> >= rhs
+
+    Int entries are kept as ints; every other entry becomes a Q.
     """
 
     num_vars: int
@@ -63,12 +77,13 @@ class LinearSystem:
     nonnegative_vars: bool = False
 
     def __post_init__(self):
-        eqs = tuple((_qvec(a, self.num_vars), Q(b)) for a, b in self.equalities)
-        ineqs = tuple((_qvec(a, self.num_vars), Q(b)) for a, b in self.inequalities)
+        V = self.num_vars
+        eqs = tuple((_exact_vec(a, V), _exact(b)) for a, b in self.equalities)
+        ineqs = tuple((_exact_vec(a, V), _exact(b)) for a, b in self.inequalities)
         object.__setattr__(self, "equalities", eqs)
         object.__setattr__(self, "inequalities", ineqs)
         if self.objective is not None:
-            object.__setattr__(self, "objective", _qvec(self.objective, self.num_vars))
+            object.__setattr__(self, "objective", _exact_vec(self.objective, V))
 
 
 @dataclass(frozen=True)
@@ -116,13 +131,9 @@ def _reduced(nums, den):
 
 
 def _integer_row(values):
-    """Exact rationals as integer numerators over one positive denominator."""
-    terms = [(j, int(q.numerator), int(q.denominator)) for j, q in enumerate(values) if q]
-    den = lcm(*(d for _, _, d in terms))
-    nums = [0] * len(values)
-    for j, num, d in terms:
-        nums[j] = num * (den // d)
-    return nums, den
+    """Ints or exact rationals as integer numerators over one positive denominator."""
+    den = lcm(*[v.denominator for v in values])
+    return [int(v * den) for v in values], den
 
 
 def _eliminate(row, den, f, prow, pden, support):
@@ -287,46 +298,29 @@ class _Tableau:
 def _standard_form(system, with_objective=False):
     """Equality standard form with non-negative variables and rhs >= 0.
 
-    Returns (rows, rhs, signs, col_info, obj) where signs[i] is the +-1
-    applied to original row i, and col_info maps structural columns back
-    to variables for solution extraction.
+    Returns (rows, rhs, signs, obj) where signs[i] is the +-1 applied to
+    original row i.  Free variables are split as x = x+ - x-; int data
+    gives int rows.
     """
-    V = system.num_vars
-    nn = system.nonnegative_vars
-    nx = V if nn else 2 * V
-    n_ineq = len(system.inequalities)
-    width = nx + n_ineq
+    n_eq, n_ineq = len(system.equalities), len(system.inequalities)
+
+    def split(a):
+        return list(a) if system.nonnegative_vars else [*a, *(-x for x in a)]
+
     rows, rhs, signs = [], [], []
-    originals = list(system.equalities) + list(system.inequalities)
-    for idx, (a, b) in enumerate(originals):
-        surplus = idx - len(system.equalities)  # >= 0 for inequality rows
-        row = [ZERO] * width
-        for v in range(V):
-            if nn:
-                row[v] = a[v]
-            else:
-                row[v] = a[v]
-                row[V + v] = -a[v]
-        if surplus >= 0:
-            row[nx + surplus] = -ONE
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-            signs.append(-ONE)
-        else:
-            signs.append(ONE)
-        rows.append(row)
-        rhs.append(b)
+    for idx, (a, b) in enumerate(system.equalities + system.inequalities):
+        surplus = [0] * n_ineq
+        if idx >= n_eq:
+            surplus[idx - n_eq] = -1
+        row = split(a) + surplus
+        sign = -1 if b < 0 else 1
+        rows.append(row if sign > 0 else [-x for x in row])
+        rhs.append(sign * b)
+        signs.append(sign)
     obj = None
     if with_objective and system.objective is not None:
-        obj = [ZERO] * width
-        for v in range(V):
-            if nn:
-                obj[v] = system.objective[v]
-            else:
-                obj[v] = system.objective[v]
-                obj[V + v] = -system.objective[v]
-    return rows, rhs, signs, nx, obj
+        obj = split(system.objective) + [0] * n_ineq
+    return rows, rhs, signs, obj
 
 
 def _extract_x(system, z):
@@ -384,7 +378,7 @@ def verify_certificate(system, cert):
 
 
 def _feasibility_direct(system):
-    rows, rhs, signs, nx, _ = _standard_form(system)
+    rows, rhs, signs, _ = _standard_form(system)
     if not rows:
         x = tuple(ZERO for _ in range(system.num_vars))
         return FeasibilityResult(True, solution=x)
@@ -430,7 +424,7 @@ def _feasibility_via_dual(system):
         cols.append(list(a) + [b])
         cols.append([-x for x in a] + [-b])
     rows = [[col[i] for col in cols] for i in range(m)]
-    rhs = [ZERO] * V + [ONE]
+    rhs = [0] * V + [1]
     tab = _Tableau(rows, rhs)
     opt = tab.phase1()
     if opt == 0:
@@ -462,7 +456,7 @@ def maximize(system):
     """Exact maximum of the objective over the constraint set."""
     if system.objective is None:
         raise ValueError("system has no objective")
-    rows, rhs, signs, nx, obj = _standard_form(system, with_objective=True)
+    rows, rhs, signs, obj = _standard_form(system, with_objective=True)
     if not rows:
         # Unconstrained: bounded only if the objective is identically zero.
         if any(c != 0 for c in system.objective):

@@ -15,23 +15,22 @@ import pytest
 
 from pathsystems import jsonio
 from pathsystems.core import (
+    PathSystem,
     TripleSet,
     all_pairs,
     all_pointed_triples,
     all_resumes,
     colinear_triples,
+    is_consistent,
     pair,
     recover_from_resume,
 )
 from pathsystems.counting import (
     asymptotic_check,
-    boxed_brute,
     boxed_count,
     count_d2,
     enumerate_consistent,
-    is_boxed_plane_partition,
     signature_separation_experiment,
-    sym_brute,
     sym_count,
 )
 from pathsystems.generators import (
@@ -40,6 +39,7 @@ from pathsystems.generators import (
     enumerate_monotone,
     gen_bipartite,
     gen_gnp,
+    gen_join,
     matching_weights,
     monotone_system,
     perfect_matching,
@@ -50,6 +50,7 @@ from pathsystems.metrize import (
     closure,
     induce_system,
     integral_witness_search,
+    is_metric,
     is_realizable,
     is_strictly_metric,
     realize_weights,
@@ -68,6 +69,8 @@ from pathsystems.vc import (
     sample_lm,
     sauer_bound,
 )
+
+from oracles import boxed_brute, is_boxed_plane_partition, sym_brute
 
 
 def report(n, text):
@@ -195,7 +198,22 @@ def test_criterion_06_metrizability_crosschecks():
             continue
         assert is_strictly_metric(out.system).strict
         checked += 1
-    report(6, "LP, realizability, induction, and 200 random inductions agree")
+    # (v) The "no" side, which no consistent system on [4] or [5] reaches:
+    # the diameter-2 system of J_4 with these midpoints (the 81st of
+    # enumerate_diam2) is consistent and metric, but not strictly metric.
+    g = gen_join(4)
+    paths = {e: e for e in g.edges}
+    midpoints = {(1, 2): 5, (1, 3): 5, (1, 4): 6, (2, 3): 6, (2, 4): 5, (3, 4): 5}
+    for (u, v), z in midpoints.items():
+        paths[(u, v)] = (u, z, v)
+    sys = PathSystem(g.n, paths)
+    assert sys == next(itertools.islice(enumerate_diam2(g), 80, None))
+    assert is_consistent(sys)
+    strict = is_strictly_metric(sys)
+    assert not strict.strict and not strict_lp_feasible(sys)
+    assert verify_witness(colinear_triples(sys), strict.witness)
+    assert is_metric(sys) is not None
+    report(6, "LP, realizability, induction, 200 random inductions, non-strict J_4 system agree")
 
 
 def test_criterion_07_monotone_strictly_metric():

@@ -295,6 +295,28 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("gen join --n 3 --gamma 2", "gamma must lie strictly between 0 and 1"),
+        ("gen join --n 3 --gamma abc", "abc"),
+        ("count boxed -r -1 -s 1 -t 1", "dimensions must be non-negative"),
+        ("count sym -r 2 -t -1", "dimensions must be non-negative"),
+        ("count consistent --n 9", "exceeds the enumeration cap"),
+        ("gen monotone --n 9", "exceeds the enumeration cap"),
+        ("vc build --n 4 --d 0", "dimension k must be non-negative"),
+        ("gen gnp-matching --n 3", "odd number of vertices"),
+        ("gen gnp-matching --n 4 --p 0", "no perfect matching"),
+        ("gen gnp-matching --n 4 --p 3/2", "probability must lie in [0, 1]"),
+    ],
+)
+def test_invalid_argument_value_exit_2(capsys, argv, message):
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_unknown_flag_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["check", "--bogus"])

@@ -6,15 +6,14 @@ import pytest
 from pathsystems.core import Graph, is_consistent
 from pathsystems.counting import (
     asymptotic_check,
-    boxed_brute,
     boxed_count,
     count_d2,
     enumerate_consistent,
-    is_boxed_plane_partition,
     signature_separation_experiment,
-    sym_brute,
     sym_count,
 )
+
+from oracles import boxed_brute, is_boxed_plane_partition, sym_brute
 
 LIMIT_5_12 = 4.5 * math.log(3) - 6 * math.log(2)
 

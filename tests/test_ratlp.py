@@ -24,7 +24,8 @@ from pathsystems.ratlp import (
 class FractionTableau:
     """Dense tableau for min c.z s.t. A z = b, z >= 0 with b >= 0.
 
-    m artificial columns are appended and form the initial basis.
+    m artificial columns are appended and form the initial basis.  Input
+    entries (ints or Q) become Q on entry, so every entry is a Q.
     """
 
     def __init__(self, rows, rhs):
@@ -35,7 +36,7 @@ class FractionTableau:
         for i, row in enumerate(rows):
             art = [ZERO] * self.m
             art[i] = ONE
-            self.T.append(list(row) + art + [rhs[i]])
+            self.T.append([Q(x) for x in row] + art + [Q(rhs[i])])
         self.basis = [self.n + i for i in range(self.m)]
         # Phase-1 reduced costs: c = (0..0, 1..1); y = all-ones.
         self.cost = [ZERO] * (self.width + 1)
@@ -259,6 +260,46 @@ def test_feasibility_sound_random(system):
         assert satisfies(system, res.solution)
     else:
         assert verify_certificate(system, res.certificate)
+
+
+def as_rationals(system):
+    """The same system with every coefficient and right-hand side a Q."""
+
+    def rows(pairs):
+        return tuple((tuple(Q(x) for x in a), Q(b)) for a, b in pairs)
+
+    return LinearSystem(
+        system.num_vars,
+        equalities=rows(system.equalities),
+        inequalities=rows(system.inequalities),
+        nonnegative_vars=system.nonnegative_vars,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_systems())
+def test_int_and_rational_entries_give_equal_results(system):
+    as_q = as_rationals(system)
+    assert all(type(x) is int for a, b in system.equalities + system.inequalities for x in (*a, b))
+    assert all(type(x) is Q for a, b in as_q.equalities + as_q.inequalities for x in (*a, b))
+    assert solve_feasibility(system) == solve_feasibility(as_q)
+
+
+def test_linear_system_keeps_ints_and_converts_the_rest():
+    system = LinearSystem(
+        4,
+        equalities=(((1, Q(1, 2), 0.5, "1/2"), 3),),
+        inequalities=(((0, -1, 2, 7), Q(1, 2)),),
+        objective=(2, 0.5, "1/2", Q(1, 2)),
+    )
+    (eq, eq_rhs), (ineq, ineq_rhs) = system.equalities[0], system.inequalities[0]
+    assert [type(x) for x in eq] == [int, Q, Q, Q]
+    assert eq == (1, Q(1, 2), Q(1, 2), Q(1, 2))
+    assert type(eq_rhs) is int and eq_rhs == 3
+    assert all(type(x) is int for x in ineq)
+    assert type(ineq_rhs) is Q
+    assert [type(x) for x in system.objective] == [int, Q, Q, Q]
+    assert system.objective == (2, Q(1, 2), Q(1, 2), Q(1, 2))
 
 
 small_rationals = st.builds(Q, small_entries, st.sampled_from([1, 1, 1, 2, 3]))
