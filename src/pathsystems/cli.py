@@ -441,6 +441,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        # A NaN budget would compare false against every deadline.
+        if args.budget is not None and not 0 <= args.budget < float("inf"):
+            raise ValueError(f"--budget must be finite and non-negative, got {args.budget}")
         return args.func(args)
     except InconsistentSystemError as e:
         _emit(_consistency_report(e.verdict), args.format)

@@ -62,6 +62,12 @@ def all_pairs(n):
     return list(_pairs(n))
 
 
+def _check_n(n):
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"vertex count {n!r} is not a non-negative integer")
+    return n
+
+
 def _check_vertex(v, n):
     if not (isinstance(v, int) and 1 <= v <= n):
         raise ValueError(f"vertex {v!r} not in 1..{n}")
@@ -71,7 +77,7 @@ class Graph:
     """Simple undirected graph on vertices 1..n."""
 
     def __init__(self, n, edges):
-        self.n = int(n)
+        self.n = _check_n(n)
         canon = set()
         for u, v in edges:
             _check_vertex(u, self.n)
@@ -177,7 +183,7 @@ class PathSystem:
     """One simple path per unordered pair of [n]."""
 
     def __init__(self, n, paths):
-        self.n = int(n)
+        self.n = _check_n(n)
         canon = {}
         if isinstance(paths, dict):
             items = paths.values()
@@ -228,6 +234,7 @@ class Resume:
     entries: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        _check_n(self.n)
         canon = {}
         items = dict(self.entries).items() if not isinstance(self.entries, dict) else self.entries.items()
         for (u, v), z in items:
@@ -250,6 +257,7 @@ class TripleSet:
     triples: frozenset = frozenset()
 
     def __post_init__(self):
+        _check_n(self.n)
         canon = frozenset(pointed_triple(*t) for t in self.triples)
         for a, b, c in canon:
             _check_vertex(a, self.n)
@@ -360,15 +368,15 @@ def extract_resume(sys):
     return Resume(sys.n, tuple(entries.items()))
 
 
-def all_resumes(sys, cap=10**6):
+def all_resumes(sys):
     """The full set of résumés: one interior choice per long path."""
     require_consistent(sys)
     long_pairs = [k for k in sorted(sys.paths) if len(sys.paths[k]) > 2]
     total = 1
     for k in long_pairs:
         total *= len(sys.paths[k]) - 2
-        if total > cap:
-            raise ValueError(f"résumé count exceeds cap {cap}")
+        if total > 10**6:
+            raise ValueError("résumé count exceeds cap 1000000")
     choices = [path_interior(sys.paths[k]) for k in long_pairs]
     result = []
     for combo in itertools.product(*choices):

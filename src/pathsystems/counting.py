@@ -66,7 +66,7 @@ def _subpath(p, a, b):
     return sub if sub[0] < sub[-1] else sub[::-1]
 
 
-def enumerate_consistent(n, hard_cap=5):
+def enumerate_consistent(n):
     """All consistent path systems on [n] by pruned backtracking.
 
     Pairs are assigned lexicographically, candidate paths shortest first.
@@ -77,8 +77,8 @@ def enumerate_consistent(n, hard_cap=5):
     different sub-path between them.  Each complete system is still
     decided by `is_consistent`.
     """
-    if n > hard_cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {hard_cap}")
+    if n > 5:
+        raise ValueError(f"n={n} exceeds the enumeration cap 5")
     pairs = all_pairs(n)
     candidates = {p: _simple_paths(*p, n) for p in pairs}
     assignment = {}
@@ -142,12 +142,12 @@ def sym_count(r, t):
     return total.numerator
 
 
-def asymptotic_check(n, digits=20):
+def asymptotic_check(n):
     """ln N(n,n,n) / n^2 as an exact-product, fixed-precision logarithm.
 
     N is computed exactly through the binomial-ratio form of MacMahon's
-    product; only the final logarithm leaves exact arithmetic, at the
-    stated decimal precision.
+    product; only the final logarithm leaves exact arithmetic, at 20
+    decimal digits.
     """
     if n > 256:
         raise ValueError("n capped at 256")
@@ -159,7 +159,7 @@ def asymptotic_check(n, digits=20):
         num *= comb(2 * n + k - 1, n)
         den *= comb(n + k - 1, n)
     with localcontext() as ctx:
-        ctx.prec = digits + 15
+        ctx.prec = 35  # the 20 digits above plus 15 guard digits
         value = (Decimal(num).ln() - Decimal(den).ln()) / (Decimal(n) ** 2)
         value = +value
     return Fraction(value)

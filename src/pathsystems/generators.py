@@ -307,10 +307,10 @@ def monotone_system(m):
     return PathSystem(2 * n, paths)
 
 
-def enumerate_monotone(n, cap=6):
+def enumerate_monotone(n):
     """All monotone midpoint matrices for J_n, lexicographic in the upper triangle."""
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
+    if n > 6:
+        raise ValueError(f"n={n} exceeds the enumeration cap 6")
     cells = [(i, j) for i in range(n) for j in range(i + 1, n) ]
 
     def predecessors(i, j, grid):

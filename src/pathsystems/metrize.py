@@ -8,7 +8,9 @@ equality rows for colinear triples, inequality rows for the rest.  Strict
 metrizability is the realizability of the system's colinear triple set,
 decided by `is_realizable`.  Infeasibility converts, via the Farkas
 certificate, into a non-negative combination of triple vectors witnessing
-that no pseudometric has exactly the given colinear triples.
+that no pseudometric has exactly the given colinear triples.  The closure
+of a triple set is reached by repeated realizability: each witness's
+support is forced into the set until the set is realizable.
 """
 
 from __future__ import annotations
@@ -475,26 +477,16 @@ def integral_witness_search(S, time_budget=None):
 
 
 def closure(S):
-    """Smallest realizable triple set containing S.
+    """Smallest realizable triple set containing S, by repeated realizability.
 
-    A triple t joins the closure when no pseudometric vanishes on all of S
-    while staying strictly positive on t.
+    A No from `is_realizable` carries a verified witness alpha, and every
+    pseudometric tight on the set is tight on supp(alpha), which joins it.
+    The first Yes ends the loop: its pseudometric has slack on every other
+    triple, so none is forced.
     """
-    n = S.n
-    npairs = len(all_pairs(n))
-    table = _delta_table(n)
-    eqs = tuple((table[s], 0) for s in S)
-    added = set(S.triples)
-    for t in table:
-        if t in S.triples:
-            continue
-        ineqs = [(table[t], 1)]
-        for r, vec in table.items():
-            if r not in S.triples and r != t:
-                ineqs.append((vec, 0))
-        system = LinearSystem(num_vars=npairs, equalities=eqs, inequalities=tuple(ineqs))
-        if not solve_feasibility(system).feasible:
-            added.add(t)
-    result = TripleSet(n, frozenset(added))
-    ensure(is_realizable(result).realizable, "closure is realizable")
-    return result
+    current = S
+    while True:
+        res = is_realizable(current)
+        if res.realizable:
+            return current
+        current = TripleSet(S.n, current.triples | res.witness.keys())

@@ -210,20 +210,16 @@ def extension_base(y, e):
     return non_faces[0]
 
 
-def build_maximum_class(y, chooser=None, seed=None):
+def build_maximum_class(y, chooser=None):
     """Faces of Y plus one compatible extension per missing top face.
 
     The result has exactly sum_{i<=d} C(n, i) members with d = k+1 and VC
-    dimension d, hence is a maximum class.  The default chooser takes the
-    smallest compatible vertex; passing a seed instead picks uniformly,
-    which is how distinct families are counted.
+    dimension d, hence is a maximum class.  `chooser(s, cands)` picks the
+    extension vertex of the missing face s; the default takes the smallest
+    compatible vertex.
     """
     if chooser is None:
-        if seed is None:
-            chooser = lambda s, cands: cands[0]
-        else:
-            rng = random.Random(seed)
-            chooser = lambda s, cands: rng.choice(cands)
+        chooser = lambda s, cands: cands[0]
     d = y.k + 1
     sets = set(y.all_faces())
     for s in itertools.combinations(range(1, y.n + 1), y.k + 1):

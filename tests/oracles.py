@@ -1,9 +1,16 @@
-"""Test-only oracles for plane partitions.
+"""Test-only oracles, each a second way to decide what `pathsystems` decides.
 
 `boxed_brute` and `sym_brute` count matrices directly, independently of
 the product formulas in `pathsystems.counting` that they check;
-`is_boxed_plane_partition` validates one matrix.
+`is_boxed_plane_partition` validates one matrix.  `closure_per_triple`
+decides the closure of a triple set with one LP per triple outside it,
+independently of the repeated realizability of `pathsystems.metrize.closure`.
 """
+
+from pathsystems.core import TripleSet, all_pairs
+from pathsystems.metrize import _delta_table, is_realizable
+from pathsystems.ratlp import LinearSystem, solve_feasibility
+from pathsystems.rational import ensure
 
 
 def _nonincreasing_rows(bounds, t):
@@ -84,3 +91,29 @@ def is_boxed_plane_partition(matrix, r, s, t):
             if i + 1 < r and matrix[i + 1][j] > v:
                 return False
     return True
+
+
+def closure_per_triple(S):
+    """Smallest realizable triple set containing S.
+
+    A triple t joins the closure when no pseudometric vanishes on all of S
+    while staying strictly positive on t.
+    """
+    n = S.n
+    npairs = len(all_pairs(n))
+    table = _delta_table(n)
+    eqs = tuple((table[s], 0) for s in S)
+    added = set(S.triples)
+    for t in table:
+        if t in S.triples:
+            continue
+        ineqs = [(table[t], 1)]
+        for r, vec in table.items():
+            if r not in S.triples and r != t:
+                ineqs.append((vec, 0))
+        system = LinearSystem(num_vars=npairs, equalities=eqs, inequalities=tuple(ineqs))
+        if not solve_feasibility(system).feasible:
+            added.add(t)
+    result = TripleSet(n, frozenset(added))
+    ensure(is_realizable(result).realizable, "closure is realizable")
+    return result

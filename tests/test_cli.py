@@ -285,8 +285,24 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         (("check",), {"n": 3, "paths": 5}, "not iterable"),
         (("closure",), [3], "has no attribute"),
         (("check",), {"n": 3, "paths": [{"vertices": [1, 2]}]}, "no path for pairs"),
+        (("closure",), {"n": 3.5, "triples": []}, "vertex count 3.5 is not"),
+        (("metrize", "witness"), {"n": 3.5, "triples": []}, "vertex count 3.5 is not"),
+        (("resume", "recover"), {"n": 3.5, "entries": []}, "vertex count 3.5 is not"),
+        (("resume", "recover"), {"n": -2, "entries": []}, "vertex count -2 is not"),
+        (("count", "d2"), {"n": True, "edges": []}, "vertex count True is not"),
     ],
-    ids=["missing_file", "missing_key", "wrong_type", "wrong_document_type", "bad_value"],
+    ids=[
+        "missing_file",
+        "missing_key",
+        "wrong_type",
+        "wrong_document_type",
+        "bad_value",
+        "fractional_n_closure",
+        "fractional_n_witness",
+        "fractional_n_resume",
+        "negative_n_resume",
+        "bool_n_graph",
+    ],
 )
 def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
     path = tmp_path / "input.json" if doc is None else write(tmp_path, "input.json", doc)
@@ -303,6 +319,9 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
         ("count boxed -r -1 -s 1 -t 1", "dimensions must be non-negative"),
         ("count sym -r 2 -t -1", "dimensions must be non-negative"),
         ("count consistent --n 9", "exceeds the enumeration cap"),
+        ("count consistent --n -3", "vertex count -3 is not a non-negative integer"),
+        ("--budget nan verify paper-example", "--budget must be finite and non-negative"),
+        ("--budget -1 verify paper-example", "--budget must be finite and non-negative"),
         ("gen monotone --n 9", "exceeds the enumeration cap"),
         ("vc build --n 4 --d 0", "dimension k must be non-negative"),
         ("gen gnp-matching --n 3", "odd number of vertices"),

@@ -1,9 +1,9 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pathsystems import jsonio
+from pathsystems import jsonio, metrize
 from pathsystems.core import (
     Graph,
     PathSystem,
@@ -31,8 +31,10 @@ from pathsystems.metrize import (
     triples_of_metric,
     verify_witness,
 )
+from pathsystems.ratlp import solve_feasibility
 from pathsystems.rational import Q
 
+from oracles import closure_per_triple
 from test_core import line_system
 
 
@@ -150,6 +152,40 @@ def test_closure_of_realizable_is_itself():
     sys = line_system(4)
     ts = colinear_triples(sys)
     assert closure(ts).triples == ts.triples
+
+
+@st.composite
+def triple_sets(draw):
+    n = draw(st.sampled_from((5, 6)))
+    triples = draw(st.sets(st.sampled_from(all_pointed_triples(n)), max_size=8))
+    return TripleSet(n, frozenset(triples))
+
+
+@settings(max_examples=30, deadline=None)
+@given(triple_sets())
+def test_closure_matches_per_triple_oracle(ts):
+    assert closure(ts) == closure_per_triple(ts)
+
+
+def test_closure_of_golden_set_matches_oracle():
+    ts, _ = golden_fixture()
+    cl = closure(ts)
+    assert len(cl) == 14
+    assert cl == closure_per_triple(ts)
+
+
+def test_closure_of_golden_set_solves_two_lps(monkeypatch):
+    # One No round, whose witness support closes the set, then one Yes.
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return solve_feasibility(system)
+
+    monkeypatch.setattr(metrize, "solve_feasibility", counted)
+    ts, _ = golden_fixture()
+    closure(ts)
+    assert len(calls) == 2
 
 
 def test_integral_search_realizable_set_has_none():
