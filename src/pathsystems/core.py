@@ -69,7 +69,7 @@ def _check_n(n):
 
 
 def _check_vertex(v, n):
-    if not (isinstance(v, int) and 1 <= v <= n):
+    if isinstance(v, bool) or not (isinstance(v, int) and 1 <= v <= n):
         raise ValueError(f"vertex {v!r} not in 1..{n}")
 
 

@@ -309,6 +309,8 @@ def monotone_system(m):
 
 def enumerate_monotone(n):
     """All monotone midpoint matrices for J_n, lexicographic in the upper triangle."""
+    if n < 0:
+        raise ValueError(f"n={n} is negative")
     if n > 6:
         raise ValueError(f"n={n} exceeds the enumeration cap 6")
     cells = [(i, j) for i in range(n) for j in range(i + 1, n) ]

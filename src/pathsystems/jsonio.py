@@ -81,6 +81,10 @@ def resume_from_json(doc):
 
 
 def _shift_triple(t, offset):
+    # A bool plus an int offset is an int: refuse bools before the shift.
+    for v in t:
+        if isinstance(v, bool):
+            raise ValueError(f"vertex {v!r} is not an integer")
     a, b, c = t
     return pointed_triple(a + offset, b + offset, c + offset)
 

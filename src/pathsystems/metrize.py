@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
+from math import lcm
 
 from .core import (
     Graph,
@@ -111,7 +112,14 @@ class Pseudometric:
 
     def __init__(self, n, values):
         self.n = int(n)
-        self.d = {p: Q(values[p]) for p in all_pairs(self.n)}
+        # Distances repeat (a strict metric on J_4 has 28 of them but about
+        # 7 distinct values); one shared object per value keeps a metric
+        # small.  Rationals are immutable, so sharing is safe.
+        shared = {}
+        self.d = {}
+        for p in all_pairs(self.n):
+            v = Q(values[p])
+            self.d[p] = shared.setdefault(v, v)
         self.validate()
 
     def value(self, a, b):
@@ -387,14 +395,34 @@ def verify_witness(S, alpha):
     return not support <= S.triples
 
 
-def _completion_feasible(n, triples, residual):
-    """Exists y >= 0 over `triples` with sum y_t Delta_t = residual?"""
+def _completion(n, triples, residual):
+    """The verified verdict on y >= 0 over `triples` with sum y_t Delta_t = residual.
+
+    A Yes carries y; a No carries a Farkas certificate whose beta is a ray
+    (see `_ray`).
+    """
     table = _delta_table(n)
     cols = [table[t] for t in triples]
     # Rows from lists, not generators: see `ratlp._exact_vec`.
     eqs = tuple((tuple([col[i] for col in cols]), r) for i, r in enumerate(residual))
     system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
-    return solve_feasibility(system).feasible
+    return solve_feasibility(system)
+
+
+def _ray(cert):
+    """A completion LP's Farkas beta, as sparse integer (coordinate, value) pairs.
+
+    The certificate gives sum_i beta_i a_i + bound = 0 with bound >= 0, so
+    beta . Delta_u <= 0 on every column u: beta . r > 0 proves that r has no
+    completion over those columns, or over any subset of them.  Scaling by
+    the lcm of the denominators keeps the sign of every dot product.
+    """
+    den = lcm(*[b.denominator for b in cert.beta])
+    return tuple((i, int(b * den)) for i, b in enumerate(cert.beta) if b)
+
+
+def _excludes(ray, residual):
+    return sum(b * residual[i] for i, b in ray) > 0
 
 
 class _Budget(Exception):
@@ -410,6 +438,20 @@ def integral_witness_search(S, time_budget=None):
     lexicographic triple order with exact-LP relaxation pruning at every
     node; "not_found" is an exhaustive proof, "inconclusive" means the
     wall-clock budget (seconds) ran out.
+
+    Every verified LP answer is reused (Benders feasibility cuts):
+
+    - a Farkas ray found over the columns candidates[ix:] (the whole
+      universe in the pre-filter: tag 0) excludes, by one exact dot
+      product, any residual at a node ix' >= ix, whose columns are a
+      subset of those;
+    - a pre-filter solution y for target - Delta_t, with e_t added back,
+      solves target, so it admits every t' with y_t' >= 1;
+    - a node's solution y, less its entry for t = candidates[ix], solves
+      the child that takes t exactly y_t times.
+
+    A reused answer only skips an LP whose verdict it proves, so the
+    candidates, the tree and `nodes` are those of one LP per question.
     """
     n = S.n
     target = triple_signature(S)
@@ -417,19 +459,29 @@ def integral_witness_search(S, time_budget=None):
     deadline = None if time_budget is None else time.monotonic() + time_budget
     deltas = _delta_table(n)
     universe = list(deltas)
+    rays = []  # (ix, ray): the ray holds over candidates[ix:]
+    admitted = set()
     # A triple can appear in an integral witness only if a fractional
     # solution with its coefficient >= 1 exists.
     candidates = []
     for t in universe:
         if deadline is not None and time.monotonic() > deadline:
             return SearchOutcome("inconclusive")
-        d = deltas[t]
-        shifted = [target[i] - d[i] for i in range(len(target))]
-        if _completion_feasible(n, universe, shifted):
-            candidates.append(t)
+        if t not in admitted:
+            d = deltas[t]
+            shifted = [target[i] - d[i] for i in range(len(target))]
+            if any(_excludes(ray, shifted) for _, ray in rays):
+                continue
+            res = _completion(n, universe, shifted)
+            if not res.feasible:
+                rays.append((0, _ray(res.certificate)))
+                continue
+            admitted.update(u for u, y in zip(universe, res.solution) if y >= 1)
+        candidates.append(t)
     nodes = 0
 
-    def recurse(ix, remaining, residual):
+    def recurse(ix, remaining, residual, solution=None):
+        # `solution`: a known completion of residual over candidates[ix:].
         nonlocal nodes
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
@@ -446,8 +498,14 @@ def integral_witness_search(S, time_budget=None):
             return None
         if ix == len(candidates):
             return None
-        if not _completion_feasible(n, candidates[ix:], residual):
-            return None
+        if solution is None:
+            if any(tag <= ix and _excludes(ray, residual) for tag, ray in rays):
+                return None
+            res = _completion(n, candidates[ix:], residual)
+            if not res.feasible:
+                rays.append((ix, _ray(res.certificate)))
+                return None
+            solution = res.solution
         t = candidates[ix]
         d = deltas[t]
         for c in range(remaining + 1):
@@ -456,7 +514,8 @@ def integral_witness_search(S, time_budget=None):
             elif t in assignment:
                 del assignment[t]
             new_res = [residual[i] - c * d[i] for i in range(len(residual))]
-            found = recurse(ix + 1, remaining - c, new_res)
+            child = solution[1:] if solution[0] == c else None
+            found = recurse(ix + 1, remaining - c, new_res, child)
             if found is not None:
                 return found
         assignment.pop(t, None)

@@ -5,10 +5,16 @@ the product formulas in `pathsystems.counting` that they check;
 `is_boxed_plane_partition` validates one matrix.  `closure_per_triple`
 decides the closure of a triple set with one LP per triple outside it,
 independently of the repeated realizability of `pathsystems.metrize.closure`.
+`integral_witness_search_per_candidate` is the integral witness search
+with one LP per candidate and per node, and no cut reuse: the same tree
+as `pathsystems.metrize.integral_witness_search`, decided without its
+stored Farkas rays and solutions.
 """
 
+import time
+
 from pathsystems.core import TripleSet, all_pairs
-from pathsystems.metrize import _delta_table, is_realizable
+from pathsystems.metrize import SearchOutcome, _delta_table, is_realizable, triple_signature
 from pathsystems.ratlp import LinearSystem, solve_feasibility
 from pathsystems.rational import ensure
 
@@ -117,3 +123,92 @@ def closure_per_triple(S):
     result = TripleSet(n, frozenset(added))
     ensure(is_realizable(result).realizable, "closure is realizable")
     return result
+
+
+def _completion_feasible(n, triples, residual):
+    """Exists y >= 0 over `triples` with sum y_t Delta_t = residual?"""
+    table = _delta_table(n)
+    cols = [table[t] for t in triples]
+    # Rows from lists, not generators: see `ratlp._exact_vec`.
+    eqs = tuple((tuple([col[i] for col in cols]), r) for i, r in enumerate(residual))
+    system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
+    return solve_feasibility(system).feasible
+
+
+class _Budget(Exception):
+    """The wall-clock budget of an integral witness search ran out."""
+
+
+def integral_witness_search_per_candidate(S, time_budget=None):
+    """Exhaustive search for an integral witness multiset.
+
+    Seeks a multiset T of pointed triples with sum of Delta over T equal
+    to the signature of S and support not contained in S.  |T| = |S| is
+    forced since every Delta_t has coordinate sum 1.  Branch and bound in
+    lexicographic triple order with exact-LP relaxation pruning at every
+    node; "not_found" is an exhaustive proof, "inconclusive" means the
+    wall-clock budget (seconds) ran out.
+    """
+    n = S.n
+    target = triple_signature(S)
+    m = len(S)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    deltas = _delta_table(n)
+    universe = list(deltas)
+    # A triple can appear in an integral witness only if a fractional
+    # solution with its coefficient >= 1 exists.
+    candidates = []
+    for t in universe:
+        if deadline is not None and time.monotonic() > deadline:
+            return SearchOutcome("inconclusive")
+        d = deltas[t]
+        shifted = [target[i] - d[i] for i in range(len(target))]
+        if _completion_feasible(n, universe, shifted):
+            candidates.append(t)
+    nodes = 0
+
+    def recurse(ix, remaining, residual):
+        nonlocal nodes
+        nodes += 1
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Budget
+        if remaining == 0:
+            if all(r == 0 for r in residual):
+                counts = dict(assignment)
+                support = {t for t, c in counts.items() if c}
+                if not support <= S.triples:
+                    multiset = tuple(
+                        sorted(t for t, c in counts.items() for _ in range(c))
+                    )
+                    return multiset
+            return None
+        if ix == len(candidates):
+            return None
+        if not _completion_feasible(n, candidates[ix:], residual):
+            return None
+        t = candidates[ix]
+        d = deltas[t]
+        for c in range(remaining + 1):
+            if c:
+                assignment[t] = c
+            elif t in assignment:
+                del assignment[t]
+            new_res = [residual[i] - c * d[i] for i in range(len(residual))]
+            found = recurse(ix + 1, remaining - c, new_res)
+            if found is not None:
+                return found
+        assignment.pop(t, None)
+        return None
+
+    assignment = {}
+    try:
+        found = recurse(0, m, list(target))
+    except _Budget:
+        return SearchOutcome("inconclusive", nodes=nodes)
+    finally:
+        # recurse holds itself through its closure; dropping the name frees
+        # the search state now instead of at the next cyclic collection.
+        del recurse
+    if found is not None:
+        return SearchOutcome("found", multiset=found, nodes=nodes)
+    return SearchOutcome("not_found", nodes=nodes)

@@ -290,6 +290,7 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         (("resume", "recover"), {"n": 3.5, "entries": []}, "vertex count 3.5 is not"),
         (("resume", "recover"), {"n": -2, "entries": []}, "vertex count -2 is not"),
         (("count", "d2"), {"n": True, "edges": []}, "vertex count True is not"),
+        (("closure",), {"n": 4, "triples": [{"pair": [True, 3], "point": 2}]}, "vertex True"),
     ],
     ids=[
         "missing_file",
@@ -302,6 +303,7 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         "fractional_n_resume",
         "negative_n_resume",
         "bool_n_graph",
+        "bool_vertex_closure",
     ],
 )
 def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
@@ -323,6 +325,8 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
         ("--budget nan verify paper-example", "--budget must be finite and non-negative"),
         ("--budget -1 verify paper-example", "--budget must be finite and non-negative"),
         ("gen monotone --n 9", "exceeds the enumeration cap"),
+        ("gen monotone --n -3", "n=-3 is negative"),
+        ("count monotone --n -3", "n=-3 is negative"),
         ("vc build --n 4 --d 0", "dimension k must be non-negative"),
         ("gen gnp-matching --n 3", "odd number of vertices"),
         ("gen gnp-matching --n 4 --p 0", "no perfect matching"),

@@ -9,6 +9,7 @@ from pathsystems.core import (
     PathSystem,
     Resume,
     ResumeRecoveryError,
+    TripleSet,
     all_pairs,
     all_pointed_triples,
     all_resumes,
@@ -165,6 +166,14 @@ def test_pointed_triples():
     assert len(all_pointed_triples(4)) == 12
     with pytest.raises(ValueError):
         pointed_triple(1, 1, 2)
+
+
+def test_bool_vertex_refused():
+    # bool is an int subclass; a vertex label must be a genuine int.
+    with pytest.raises(ValueError, match="vertex True"):
+        TripleSet(4, frozenset({(True, 3, 2)}))
+    with pytest.raises(ValueError, match="vertex True"):
+        Graph(3, [(True, 2)])
 
 
 def test_graph_basics():

@@ -34,7 +34,7 @@ from pathsystems.metrize import (
 from pathsystems.ratlp import solve_feasibility
 from pathsystems.rational import Q
 
-from oracles import closure_per_triple
+from oracles import closure_per_triple, integral_witness_search_per_candidate
 from test_core import line_system
 
 
@@ -186,6 +186,36 @@ def test_closure_of_golden_set_solves_two_lps(monkeypatch):
     ts, _ = golden_fixture()
     closure(ts)
     assert len(calls) == 2
+
+
+@st.composite
+def small_triple_sets(draw):
+    n = draw(st.sampled_from((4, 5)))
+    triples = draw(st.sets(st.sampled_from(all_pointed_triples(n)), min_size=2, max_size=6))
+    return TripleSet(n, frozenset(triples))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_triple_sets())
+def test_integral_search_matches_per_candidate_oracle(ts):
+    # The stored cuts only skip LPs whose answer they prove: same status,
+    # same multiset, same tree.
+    assert integral_witness_search(ts) == integral_witness_search_per_candidate(ts)
+
+
+def test_integral_search_of_golden_set_reuses_cuts(monkeypatch):
+    # One LP per triple of [8] in the pre-filter alone would be 168.
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return solve_feasibility(system)
+
+    monkeypatch.setattr(metrize, "solve_feasibility", counted)
+    ts, _ = golden_fixture()
+    out = integral_witness_search(ts)
+    assert (out.status, out.nodes) == ("not_found", 41)
+    assert len(calls) <= 60
 
 
 def test_integral_search_realizable_set_has_none():
