@@ -39,7 +39,7 @@ from .metrize import (
     verify_witness,
 )
 from . import __version__
-from .rational import BACKEND, Q, rational_to_text
+from .rational import BACKEND, parse_rational, rational_to_text
 
 FIXTURES = importlib.resources.files("pathsystems") / "fixtures"
 
@@ -71,8 +71,7 @@ def _tsv_cell(value):
     if isinstance(value, (int, str)):
         return str(value)
     if isinstance(value, dict) and set(value) == {"num", "den"}:
-        q = Q(int(value["num"]), int(value["den"]))
-        return rational_to_text(q)
+        return rational_to_text(parse_rational(value))
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
@@ -207,7 +206,7 @@ def cmd_gen(args):
         g = _read(args.graph, jsonio.graph_from_json)
         systems = list(itertools.islice(generators.enumerate_diam2(g), args.limit))
         doc = {
-            "total": str(counting.count_d2(g)) if g.diameter() in (0, 1, 2) else "0",
+            "total": str(counting.count_d2(g)),
             "systems": [jsonio.system_to_json(s) for s in systems],
         }
     elif args.family == "bipartite":
@@ -225,7 +224,7 @@ def cmd_gen(args):
             "system": jsonio.system_to_json(system),
         }
     elif args.family == "gnp-matching":
-        g = generators.gen_gnp(args.n, Q(args.p), args.seed)
+        g = generators.gen_gnp(args.n, parse_rational(args.p), args.seed)
         matching = generators.perfect_matching(g, args.seed)
         adm = generators.admissible_pairs(g, matching)
         rng = random.Random(args.seed)
@@ -245,7 +244,7 @@ def cmd_gen(args):
         doc = {"matrices": [jsonio.monotone_to_json(m) for m in mats]}
     else:  # join
         if args.gamma is not None:
-            g = generators.gen_join_gamma(args.n, Q(args.gamma))
+            g = generators.gen_join_gamma(args.n, parse_rational(args.gamma))
         else:
             g = generators.gen_join(args.n)
         doc = jsonio.graph_to_json(g)
@@ -279,7 +278,7 @@ def cmd_vc(args):
         _emit({"dim": vc.vc_dim(family)}, args.format)
         return 0
     # build
-    p = Q(args.p)
+    p = parse_rational(args.p)
     last_error = None
     for attempt in range(10):
         y = vc.sample_lm(args.n, args.d - 1, p, args.seed + attempt)

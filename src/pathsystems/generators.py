@@ -70,11 +70,9 @@ def enumerate_diam2(g):
     Edges are their own paths; every non-adjacent pair gets one common
     neighbor as midpoint.  Such a system is automatically consistent, so
     the total count is the product of the common-neighborhood sizes.
-    Yields nothing when the graph diameter exceeds 2.
+    Yields nothing when the graph is disconnected or its diameter exceeds
+    2: some non-adjacent pair then has no common neighbor.
     """
-    diam = g.diameter()
-    if diam is None or diam > 2:
-        return
     non_edges = sorted(g.non_edges())
     midpoint_sets = [sorted(g.neighbors(u) & g.neighbors(v)) for u, v in non_edges]
     if any(not s for s in midpoint_sets):

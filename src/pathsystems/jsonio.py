@@ -3,8 +3,8 @@
 All arrays are emitted in a fixed sorted order so identical inputs yield
 byte-identical documents.  Rationals travel as {"num", "den"} decimal
 strings; TSV output renders them "num/den".  Triple sets and witnesses
-accept an optional "label_base" (default 1) on load: documents with
-0-based vertex labels are shifted to the internal 1-based convention.
+accept an optional "label_base", 0 or 1 (default 1), on load: documents
+with 0-based vertex labels are shifted to the internal 1-based convention.
 Documents are always written 1-based.
 """
 
@@ -80,6 +80,14 @@ def resume_from_json(doc):
     )
 
 
+def _label_offset(doc):
+    """The shift from the document's "label_base" (0 or 1) to 1-based labels."""
+    base = doc.get("label_base", 1)
+    if type(base) is not int or base not in (0, 1):
+        raise ValueError(f"label_base {base!r} is not 0 or 1")
+    return 1 - base
+
+
 def _shift_triple(t, offset):
     # A bool plus an int offset is an int: refuse bools before the shift.
     for v in t:
@@ -97,7 +105,7 @@ def tripleset_to_json(ts):
 
 
 def tripleset_from_json(doc):
-    offset = 1 - doc.get("label_base", 1)
+    offset = _label_offset(doc)
     triples = frozenset(
         _shift_triple((t["pair"][0], t["pair"][1], t["point"]), offset)
         for t in doc["triples"]
@@ -121,7 +129,7 @@ def witness_to_json(alpha):
 
 
 def witness_from_json(doc):
-    offset = 1 - doc.get("label_base", 1)
+    offset = _label_offset(doc)
     items = []
     for e in doc["alpha"]:
         t = _shift_triple(

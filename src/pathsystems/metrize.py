@@ -412,7 +412,7 @@ def _completion(n, triples, residual):
 def _ray(cert):
     """A completion LP's Farkas beta, as sparse integer (coordinate, value) pairs.
 
-    The certificate gives sum_i beta_i a_i + bound = 0 with bound >= 0, so
+    The certificate gives sum_i beta_i a_i <= 0 componentwise, so
     beta . Delta_u <= 0 on every column u: beta . r > 0 proves that r has no
     completion over those columns, or over any subset of them.  Scaling by
     the lcm of the denominators keeps the sign of every dot product.

@@ -43,21 +43,35 @@ def rat(num, den=1):
     return Q(num, den)
 
 
+def _integer(value, what):
+    """An int, or the int a decimal string spells; bools and floats are refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} {value!r} is not an integer or a decimal string")
+
+
 def parse_rational(value):
     """Parse a rational from an int, a "num/den" string, or a
-    {"num": ..., "den": ...} mapping (values may be decimal strings)."""
-    if isinstance(value, bool):
-        raise ValueError("booleans are not rationals")
-    if isinstance(value, int):
-        return Q(value)
-    if isinstance(value, str):
-        if "/" in value:
-            num, den = value.split("/", 1)
-            return Q(int(num), int(den))
-        return Q(int(value))
+    {"num": ..., "den": ...} mapping (values may be decimal strings).
+
+    Numerator and denominator must be ints or decimal strings, and the
+    denominator non-zero; anything else raises ValueError.
+    """
     if isinstance(value, dict):
-        return Q(int(value["num"]), int(value.get("den", 1)))
-    raise ValueError(f"cannot parse rational from {value!r}")
+        num, den = value["num"], value.get("den", 1)
+    elif isinstance(value, str) and "/" in value:
+        num, den = value.split("/", 1)
+    else:
+        num, den = value, 1
+    num, den = _integer(num, "numerator"), _integer(den, "denominator")
+    if den == 0:
+        raise ValueError(f"rational {value!r} has denominator 0")
+    return Q(num, den)
 
 
 def rational_to_json(q):

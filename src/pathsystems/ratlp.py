@@ -2,28 +2,33 @@
 
 Constraints are <a,x> >= rhs (inequalities) and <a,x> = rhs (equalities)
 over free variables by default; `nonnegative_vars=True` constrains every
-variable to be >= 0 natively (the certificate then carries one extra
-non-negative multiplier per variable bound).
+variable to be >= 0 natively.
 
-Two solution strategies, both exact and both using Bland's anti-cycling
-pivot rule:
+Every question is answered by one phase-1 simplex run with Bland's
+anti-cycling pivot rule, on a tableau chosen by the variables' sign:
 
-* direct phase-1 simplex on the standard form (used when the system has
-  few rows, or when variables are non-negative);
-* phase-1 simplex on the Farkas certificate system (used when rows far
-  outnumber variables; its dual vector yields a primal witness).
+* non-negative variables: the standard form of the system itself; a
+  zero optimum gives the solution, a positive one gives the certificate
+  from the duals;
+* free variables: the Farkas certificate system, with one row per
+  variable plus one; a certificate proves infeasibility, and its absence
+  leaves duals that yield a primal witness.
+
+A system without rows is solved by the zero vector.  `maximize` asks one
+more feasibility question: by LP duality, a primal solution and row
+multipliers with no duality gap prove each other optimal.
 
 Integer data stays integer from input to tableau: `LinearSystem` keeps
 int coefficients and right-hand sides as ints and turns only other
 values (Fraction/mpq, float, str) into `Q`.  The tableau works over
 Python ints: each row holds integer numerators over one positive row
-denominator, and rationals are built only when the solution, the duals
-or the objective are read.
+denominator, and rationals are built only when the solution or the
+duals are read.
 
-Either way the verdict is identical: every returned witness is re-checked
-against all constraints exactly, and every certificate is re-verified,
-before being returned; a failed re-check raises `VerificationError`,
-also under `python -O`.
+On either route every returned witness is re-checked against all
+constraints exactly, and every certificate is re-verified, before being
+returned; a failed re-check raises `VerificationError`, also under
+`python -O`.
 """
 
 from __future__ import annotations
@@ -91,15 +96,13 @@ class FarkasCertificate:
     """Multipliers proving infeasibility.
 
     lam (one per inequality, >= 0) and beta (one per equality, free)
-    combine the constraint rows to the zero vector while combining the
-    right-hand sides to something positive.  For systems declared with
-    nonnegative_vars, `bound` holds one multiplier >= 0 per variable
-    bound x_j >= 0.
+    combine the constraint rows to the zero vector, or to a vector <= 0
+    componentwise for systems declared with nonnegative_vars, while
+    combining the right-hand sides to something positive.
     """
 
     lam: tuple = ()
     beta: tuple = ()
-    bound: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ class OptimizeResult:
 
 
 # ---------------------------------------------------------------------------
-# Tableau simplex core (min, equality standard form, Bland's rule)
+# Phase-1 tableau simplex (equality standard form, Bland's rule)
 # ---------------------------------------------------------------------------
 
 
@@ -155,14 +158,14 @@ def _eliminate(row, den, f, prow, pden, support):
 
 
 class _Tableau:
-    """Dense tableau for min c.z s.t. A z = b, z >= 0 with b >= 0.
+    """Phase-1 tableau for A z = b, z >= 0 with b >= 0.
 
     m artificial columns are appended and form the initial basis.  Every
     row, the cost row included, holds integer numerators over one positive
     integer row denominator: entry j of row i is T[i][j] / den[i], and the
     reduced cost of column j is cost[j] / cden.  A pivot puts each row it
     touches back in lowest terms.  Rationals are built only when the
-    objective, the solution or the duals are read.
+    optimum, the solution or the duals are read.
     """
 
     def __init__(self, rows, rhs):
@@ -188,10 +191,6 @@ class _Tableau:
             cost[self.width] -= scale * row[self.width]
         self.cost, self.cden = _reduced(cost, cden)
 
-    @property
-    def objective(self):
-        return Q(-self.cost[self.width], self.cden)
-
     def pivot(self, r, c):
         T, den = self.T, self.den
         row = T[r]
@@ -212,18 +211,18 @@ class _Tableau:
             self.cost, self.cden = _eliminate(self.cost, self.cden, f, row, piv, support)
         self.basis[r] = c
 
-    def run(self, allowed):
-        """Bland's rule over columns < allowed; returns "optimal" or "unbounded"."""
+    def phase1(self):
+        """Minimize the artificial sum by Bland's rule; returns the optimum (>= 0)."""
         w, basis = self.width, self.basis
         while True:
             cost = self.cost
             enter = -1
-            for j in range(allowed):
+            for j in range(self.n):
                 if cost[j] < 0:
                     enter = j
                     break
             if enter < 0:
-                return "optimal"
+                return Q(-cost[w], self.cden)
             # Minimum ratio T[i][w] / T[i][enter] over a > 0; the row
             # denominators cancel, and cross-multiplying compares exactly.
             leave = -1
@@ -237,15 +236,8 @@ class _Tableau:
                     lhs, rhs = b * best_a, best_b * a
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave, best_b, best_a = i, b, a
-            if leave < 0:
-                return "unbounded"
+            ensure(leave >= 0, "phase-1 objective is bounded below by 0")
             self.pivot(leave, enter)
-
-    def phase1(self):
-        """Minimize the artificial sum; returns the optimum (>= 0)."""
-        status = self.run(self.n)
-        ensure(status == "optimal", "phase-1 objective is bounded below by 0")
-        return self.objective
 
     def duals(self):
         """Phase-1 dual vector y (length m), from artificial reduced costs."""
@@ -258,76 +250,10 @@ class _Tableau:
                 z[bv] = Q(self.T[i][self.width], self.den[i])
         return z
 
-    def drive_out_artificials(self):
-        """Pivot artificials out of the basis; drop redundant rows."""
-        keep = []
-        for i in range(self.m):
-            if self.basis[i] < self.n:
-                keep.append(i)
-                continue
-            piv_col = -1
-            for j in range(self.n):
-                if self.T[i][j]:
-                    piv_col = j
-                    break
-            if piv_col >= 0:
-                self.pivot(i, piv_col)
-                keep.append(i)
-            # else: redundant all-zero row, drop it
-        self.T = [self.T[i] for i in keep]
-        self.den = [self.den[i] for i in keep]
-        self.basis = [self.basis[i] for i in keep]
-        self.m = len(self.T)
-
-    def set_objective(self, c):
-        """Install reduced costs for a new objective vector (length n)."""
-        cost, cden = _integer_row([*c] + [0] * (self.width - self.n + 1))
-        for row, den, bv in zip(self.T, self.den, self.basis):
-            f = cost[bv]
-            if f:
-                support = [j for j, x in enumerate(row) if x]
-                cost, cden = _eliminate(cost, cden, f, row, den, support)
-        self.cost, self.cden = cost, cden
-
 
 # ---------------------------------------------------------------------------
-# Standard-form construction
+# Verification and the two routes
 # ---------------------------------------------------------------------------
-
-
-def _standard_form(system, with_objective=False):
-    """Equality standard form with non-negative variables and rhs >= 0.
-
-    Returns (rows, rhs, signs, obj) where signs[i] is the +-1 applied to
-    original row i.  Free variables are split as x = x+ - x-; int data
-    gives int rows.
-    """
-    n_eq, n_ineq = len(system.equalities), len(system.inequalities)
-
-    def split(a):
-        return list(a) if system.nonnegative_vars else [*a, *(-x for x in a)]
-
-    rows, rhs, signs = [], [], []
-    for idx, (a, b) in enumerate(system.equalities + system.inequalities):
-        surplus = [0] * n_ineq
-        if idx >= n_eq:
-            surplus[idx - n_eq] = -1
-        row = split(a) + surplus
-        sign = -1 if b < 0 else 1
-        rows.append(row if sign > 0 else [-x for x in row])
-        rhs.append(sign * b)
-        signs.append(sign)
-    obj = None
-    if with_objective and system.objective is not None:
-        obj = split(system.objective) + [0] * n_ineq
-    return rows, rhs, signs, obj
-
-
-def _extract_x(system, z):
-    V = system.num_vars
-    if system.nonnegative_vars:
-        return tuple(z[:V])
-    return tuple(z[v] - z[V + v] for v in range(V))
 
 
 def _check_solution(system, x):
@@ -347,19 +273,16 @@ def _check_solution(system, x):
 def verify_certificate(system, cert):
     """Exact Farkas check, independent of how the certificate was found.
 
-    Zero multipliers and zero coefficients are skipped: they add exactly 0.
+    The multipliers must combine the rows to 0 (to <= 0 componentwise when
+    the variables are non-negative) and the right-hand sides to a positive
+    number.  Zero multipliers and zero coefficients are skipped: they add
+    exactly 0.
     """
     n_eq, n_ineq = len(system.equalities), len(system.inequalities)
     if len(cert.lam) != n_ineq or len(cert.beta) != n_eq:
         return False
     if any(l < 0 for l in cert.lam):
         return False
-    bound = cert.bound
-    if bound is not None:
-        if not system.nonnegative_vars or len(bound) != system.num_vars:
-            return False
-        if any(m < 0 for m in bound):
-            return False
     combo = [ZERO] * system.num_vars
     total = ZERO
     for rows, mults in ((system.equalities, cert.beta), (system.inequalities, cert.lam)):
@@ -369,41 +292,38 @@ def verify_certificate(system, cert):
                     if av:
                         combo[v] += mult * av
                 total += mult * b
-    if bound is not None:
-        for v in range(system.num_vars):
-            combo[v] += bound[v]
-    if any(c != 0 for c in combo):
+    if system.nonnegative_vars:
+        if any(c > 0 for c in combo):
+            return False
+    elif any(c != 0 for c in combo):
         return False
     return total > 0
 
 
 def _feasibility_direct(system):
-    rows, rhs, signs, _ = _standard_form(system)
-    if not rows:
-        x = tuple(ZERO for _ in range(system.num_vars))
-        return FeasibilityResult(True, solution=x)
+    """Phase 1 on the standard form of a system over non-negative variables.
+
+    Each inequality gets a surplus column, and each row is negated where
+    its right-hand side is negative; int data gives int rows.
+    """
+    n_eq, n_ineq = len(system.equalities), len(system.inequalities)
+    rows, rhs, signs = [], [], []
+    for idx, (a, b) in enumerate(system.equalities + system.inequalities):
+        surplus = [0] * n_ineq
+        if idx >= n_eq:
+            surplus[idx - n_eq] = -1
+        row = [*a, *surplus]
+        sign = -1 if b < 0 else 1
+        rows.append(row if sign > 0 else [-x for x in row])
+        rhs.append(sign * b)
+        signs.append(sign)
     tab = _Tableau(rows, rhs)
-    opt = tab.phase1()
-    if opt == 0:
-        x = _extract_x(system, tab.solution())
+    if tab.phase1() == 0:
+        x = tuple(tab.solution()[: system.num_vars])
         ensure(_check_solution(system, x), "direct-route solution")
         return FeasibilityResult(True, solution=x)
-    y = tab.duals()
-    n_eq = len(system.equalities)
-    u = [signs[i] * y[i] for i in range(len(y))]
-    beta = tuple(u[:n_eq])
-    lam = tuple(u[n_eq:])
-    bound = None
-    if system.nonnegative_vars:
-        # Sum of rows is <= 0 componentwise; bound multipliers close the gap.
-        combo = [ZERO] * system.num_vars
-        for (a, _), m in zip(system.equalities + system.inequalities, beta + lam):
-            if m:
-                for v, av in enumerate(a):
-                    if av:
-                        combo[v] += m * av
-        bound = tuple(-c for c in combo)
-    cert = FarkasCertificate(lam=lam, beta=beta, bound=bound)
+    u = [sign * y for sign, y in zip(signs, tab.duals())]
+    cert = FarkasCertificate(lam=tuple(u[n_eq:]), beta=tuple(u[:n_eq]))
     ensure(verify_certificate(system, cert), "direct-route Farkas certificate")
     return FeasibilityResult(False, certificate=cert)
 
@@ -411,8 +331,9 @@ def _feasibility_direct(system):
 def _feasibility_via_dual(system):
     """Search for a Farkas certificate; its absence yields a primal witness.
 
-    The certificate system has num_vars+1 rows, so this route is the fast
-    one when constraints vastly outnumber variables.
+    The certificate system has one row per variable plus one for the
+    right-hand sides, and one non-negative column per inequality and two
+    per equality (beta = beta+ - beta-).
     """
     V = system.num_vars
     n_eq, n_ineq = len(system.equalities), len(system.inequalities)
@@ -426,8 +347,7 @@ def _feasibility_via_dual(system):
     rows = [[col[i] for col in cols] for i in range(m)]
     rhs = [0] * V + [1]
     tab = _Tableau(rows, rhs)
-    opt = tab.phase1()
-    if opt == 0:
+    if tab.phase1() == 0:
         z = tab.solution()
         lam = tuple(z[:n_ineq])
         beta = tuple(
@@ -445,35 +365,63 @@ def _feasibility_via_dual(system):
 
 
 def solve_feasibility(system):
-    """Exact feasibility verdict with witness or Farkas certificate."""
-    n_rows = len(system.equalities) + len(system.inequalities)
-    if not system.nonnegative_vars and n_rows > system.num_vars + 1:
-        return _feasibility_via_dual(system)
-    return _feasibility_direct(system)
+    """Exact feasibility verdict with witness or Farkas certificate.
+
+    A system without rows is solved by the zero vector; otherwise the
+    variables' sign picks the route.
+    """
+    if not system.equalities and not system.inequalities:
+        return FeasibilityResult(True, solution=(ZERO,) * system.num_vars)
+    if system.nonnegative_vars:
+        return _feasibility_direct(system)
+    return _feasibility_via_dual(system)
 
 
 def maximize(system):
-    """Exact maximum of the objective over the constraint set."""
-    if system.objective is None:
+    """Exact maximum of the objective c.x, proved by LP duality.
+
+    Give row r a multiplier m_r, >= 0 on the inequalities.  When
+    c + sum_r m_r a_r is 0 (<= 0 componentwise for non-negative x), every
+    feasible x has c.x <= -sum_r m_r b_r.  So a z = (x, m) that meets the
+    primal rows, that stationarity, and the gap row c.x + sum_r m_r b_r >= 0
+    proves x optimal; `solve_feasibility` finds z and re-checks it.  When
+    no such z exists, the system is infeasible or unbounded, and
+    `solve_feasibility(system)` tells which.
+    """
+    c = system.objective
+    if c is None:
         raise ValueError("system has no objective")
-    rows, rhs, signs, obj = _standard_form(system, with_objective=True)
-    if not rows:
-        # Unconstrained: bounded only if the objective is identically zero.
-        if any(c != 0 for c in system.objective):
-            return OptimizeResult("unbounded")
-        x = tuple(ZERO for _ in range(system.num_vars))
-        return OptimizeResult("optimal", value=ZERO, solution=x)
-    tab = _Tableau(rows, rhs)
-    if tab.phase1() != 0:
-        res = solve_feasibility(system)
-        ensure(not res.feasible, "both phase-1 runs find the system infeasible")
-        return OptimizeResult("infeasible", certificate=res.certificate)
-    tab.drive_out_artificials()
-    tab.set_objective([-c for c in obj])  # maximize = minimize the negation
-    status = tab.run(tab.n)
-    if status == "unbounded":
+    V = system.num_vars
+    n_eq = len(system.equalities)
+    rows = system.equalities + system.inequalities
+    R = len(rows)
+
+    def unit(k):
+        e = [0] * (V + R)
+        e[k] = 1
+        return e
+
+    free = [0] * R
+    eqs = [([*a, *free], b) for a, b in system.equalities]
+    ineqs = [([*a, *free], b) for a, b in system.inequalities]
+    ineqs += [(unit(V + r), 0) for r in range(n_eq, R)]
+    if system.nonnegative_vars:
+        ineqs += [(unit(j), 0) for j in range(V)]
+    for j in range(V):
+        grad = [0] * V + [a[j] for a, _ in rows]
+        if system.nonnegative_vars:
+            ineqs.append(([-g for g in grad], c[j]))
+        else:
+            eqs.append((grad, -c[j]))
+    ineqs.append(([*c, *(b for _, b in rows)], 0))
+    dual = solve_feasibility(
+        LinearSystem(V + R, equalities=tuple(eqs), inequalities=tuple(ineqs))
+    )
+    if dual.feasible:
+        x = dual.solution[:V]
+        value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
+        return OptimizeResult("optimal", value=value, solution=x)
+    res = solve_feasibility(system)
+    if res.feasible:
         return OptimizeResult("unbounded")
-    x = _extract_x(system, tab.solution())
-    ensure(_check_solution(system, x), "optimal solution")
-    value = sum((c * xi for c, xi in zip(system.objective, x)), ZERO)
-    return OptimizeResult("optimal", value=value, solution=x)
+    return OptimizeResult("infeasible", certificate=res.certificate)

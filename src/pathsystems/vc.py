@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .core import require_consistent
+from .core import _check_n, _check_vertex, require_consistent
 from .generators import _bernoulli, gen_gnp
 from .rational import ensure
 
@@ -36,8 +36,7 @@ __all__ = [
 def _check_subset(s, n):
     s = frozenset(s)
     for v in s:
-        if not (isinstance(v, int) and 1 <= v <= n):
-            raise ValueError(f"element {v!r} not in 1..{n}")
+        _check_vertex(v, n)
     return s
 
 
@@ -49,6 +48,7 @@ class SetSystem:
     sets: frozenset = frozenset()
 
     def __post_init__(self):
+        _check_n(self.n)
         canon = frozenset(_check_subset(s, self.n) for s in self.sets)
         object.__setattr__(self, "sets", canon)
 
@@ -71,6 +71,7 @@ class SimplicialComplex:
     faces: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        _check_n(self.n)
         if self.k < 0:
             raise ValueError("dimension k must be non-negative")
         canon = set()

@@ -8,15 +8,19 @@ independently of the repeated realizability of `pathsystems.metrize.closure`.
 `integral_witness_search_per_candidate` is the integral witness search
 with one LP per candidate and per node, and no cut reuse: the same tree
 as `pathsystems.metrize.integral_witness_search`, decided without its
-stored Farkas rays and solutions.
+stored Farkas rays and solutions.  `FractionTableau` is the simplex tableau
+over rationals that the integer `pathsystems.ratlp._Tableau` replaced, with
+a phase 2; `maximize_two_phase` runs the two-phase simplex on it, a second
+way to reach the optimum that `pathsystems.ratlp.maximize` proves by LP
+duality.
 """
 
 import time
 
 from pathsystems.core import TripleSet, all_pairs
 from pathsystems.metrize import SearchOutcome, _delta_table, is_realizable, triple_signature
-from pathsystems.ratlp import LinearSystem, solve_feasibility
-from pathsystems.rational import ensure
+from pathsystems.ratlp import LinearSystem, OptimizeResult, solve_feasibility
+from pathsystems.rational import ONE, Q, ZERO, ensure
 
 
 def _nonincreasing_rows(bounds, t):
@@ -212,3 +216,174 @@ def integral_witness_search_per_candidate(S, time_budget=None):
     if found is not None:
         return SearchOutcome("found", multiset=found, nodes=nodes)
     return SearchOutcome("not_found", nodes=nodes)
+
+
+class FractionTableau:
+    """Dense tableau for min c.z s.t. A z = b, z >= 0 with b >= 0.
+
+    m artificial columns are appended and form the initial basis.  Input
+    entries (ints or Q) become Q on entry, so every entry is a Q.
+    """
+
+    def __init__(self, rows, rhs):
+        self.m = len(rows)
+        self.n = len(rows[0]) if rows else 0
+        self.width = self.n + self.m  # artificials appended
+        self.T = []
+        for i, row in enumerate(rows):
+            art = [ZERO] * self.m
+            art[i] = ONE
+            self.T.append([Q(x) for x in row] + art + [Q(rhs[i])])
+        self.basis = [self.n + i for i in range(self.m)]
+        # Phase-1 reduced costs: c = (0..0, 1..1); y = all-ones.
+        self.cost = [ZERO] * (self.width + 1)
+        for j in range(self.n):
+            s = ZERO
+            for i in range(self.m):
+                s += self.T[i][j]
+            self.cost[j] = -s
+        self.cost[self.width] = -sum((r[self.width] for r in self.T), ZERO)
+
+    @property
+    def objective(self):
+        return -self.cost[self.width]
+
+    def pivot(self, r, c):
+        T = self.T
+        row = T[r]
+        piv = row[c]
+        if piv != ONE:
+            inv = ONE / piv
+            T[r] = row = [x * inv for x in row]
+        for other in T:
+            if other is row:
+                continue
+            f = other[c]
+            if f:
+                for j, rv in enumerate(row):
+                    if rv:
+                        other[j] -= f * rv
+        f = self.cost[c]
+        if f:
+            for j, rv in enumerate(row):
+                if rv:
+                    self.cost[j] -= f * rv
+        self.basis[r] = c
+
+    def run(self, allowed):
+        """Bland's rule over columns < allowed; returns "optimal" or "unbounded"."""
+        T, cost = self.T, self.cost
+        while True:
+            enter = -1
+            for j in range(allowed):
+                if cost[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal"
+            leave = -1
+            best = None
+            for i in range(self.m):
+                a = T[i][enter]
+                if a > 0:
+                    ratio = T[i][self.width] / a
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+    def phase1(self):
+        """Minimize the artificial sum; returns the optimum (>= 0)."""
+        status = self.run(self.n)
+        assert status == "optimal"  # phase-1 objective is bounded below by 0
+        return self.objective
+
+    def duals(self):
+        """Phase-1 dual vector y (length m), from artificial reduced costs."""
+        return [ONE - self.cost[self.n + i] for i in range(self.m)]
+
+    def solution(self):
+        z = [ZERO] * self.n
+        for i, bv in enumerate(self.basis):
+            if bv < self.n:
+                z[bv] = self.T[i][self.width]
+        return z
+
+    def drive_out_artificials(self):
+        """Pivot artificials out of the basis; drop redundant rows."""
+        keep = []
+        for i in range(self.m):
+            if self.basis[i] < self.n:
+                keep.append(i)
+                continue
+            piv_col = -1
+            for j in range(self.n):
+                if self.T[i][j]:
+                    piv_col = j
+                    break
+            if piv_col >= 0:
+                self.pivot(i, piv_col)
+                keep.append(i)
+            # else: redundant all-zero row, drop it
+        self.T = [self.T[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+        self.m = len(self.T)
+
+    def set_objective(self, c):
+        """Install reduced costs for a new objective vector (length n)."""
+        cost = list(c) + [ZERO] * (self.width - self.n) + [ZERO]
+        for i, bv in enumerate(self.basis):
+            cb = cost[bv] if bv < self.n else ZERO
+            if cb:
+                for j, rv in enumerate(self.T[i]):
+                    if rv:
+                        cost[j] -= cb * rv
+        # Zero out reduced costs of basic columns exactly.
+        for bv in self.basis:
+            cost[bv] = ZERO
+        self.cost = cost
+
+
+def maximize_two_phase(system):
+    """Exact maximum of the objective by the two-phase simplex.
+
+    Free variables are split as x = x+ - x-, each inequality gets a
+    surplus column, and rows with a negative right-hand side are negated.
+    Phase 1 decides feasibility; phase 2 minimizes -c from its basis.
+    """
+    V = system.num_vars
+    n_eq, n_ineq = len(system.equalities), len(system.inequalities)
+    nonneg = system.nonnegative_vars
+    c = system.objective
+
+    def split(a):
+        return list(a) if nonneg else [*a, *(-x for x in a)]
+
+    rows, rhs = [], []
+    for idx, (a, b) in enumerate(system.equalities + system.inequalities):
+        surplus = [0] * n_ineq
+        if idx >= n_eq:
+            surplus[idx - n_eq] = -1
+        sign = -1 if b < 0 else 1
+        rows.append([sign * x for x in split(a) + surplus])
+        rhs.append(sign * b)
+    if not rows:
+        # Unconstrained: bounded only if no coordinate can raise c.x.
+        if any(cj > 0 if nonneg else cj != 0 for cj in c):
+            return OptimizeResult("unbounded")
+        return OptimizeResult("optimal", value=ZERO, solution=(ZERO,) * V)
+    tab = FractionTableau(rows, rhs)
+    if tab.phase1() != 0:
+        return OptimizeResult("infeasible")
+    tab.drive_out_artificials()
+    tab.set_objective([-x for x in split(c)] + [0] * n_ineq)
+    if tab.run(tab.n) == "unbounded":
+        return OptimizeResult("unbounded")
+    z = tab.solution()
+    x = tuple(z[:V]) if nonneg else tuple(z[v] - z[V + v] for v in range(V))
+    value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
+    return OptimizeResult("optimal", value=value, solution=x)

@@ -168,6 +168,19 @@ def test_gen_diam2(capsys, tmp_path):
         assert is_consistent(jsonio.system_from_json(s))
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [Graph(4, [(1, 2), (2, 3), (3, 4)]), Graph(4, [(1, 2), (3, 4)])],
+    ids=["p4_diameter_3", "disconnected"],
+)
+def test_gen_diam2_without_diameter_2(capsys, tmp_path, graph):
+    # Some non-adjacent pair has no common neighbor: no system, count 0.
+    g = write(tmp_path, "g.json", jsonio.graph_to_json(graph))
+    code, out = run(capsys, "gen", "diam2", g)
+    assert code == 0
+    assert json.loads(out) == {"total": "0", "systems": []}
+
+
 def test_gen_bipartite(capsys):
     code, out = run(capsys, "--seed", "2", "gen", "bipartite", "--half-n", "3")
     assert code == 0
@@ -262,6 +275,14 @@ def test_verify_budget_inconclusive(capsys):
     assert doc["fractional_identity"] is True
 
 
+TRIPLES_4 = {"n": 4, "triples": [{"pair": [1, 3], "point": 2}]}
+
+
+def weights_doc(num, den):
+    weight = {"edge": [1, 2], "num": num, "den": den}
+    return {"graph": {"n": 2, "edges": [[1, 2]]}, "weights": [weight]}
+
+
 def run_bad_input(capsys, *argv):
     with pytest.raises(SystemExit) as e:
         main(list(argv))
@@ -291,6 +312,17 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         (("resume", "recover"), {"n": -2, "entries": []}, "vertex count -2 is not"),
         (("count", "d2"), {"n": True, "edges": []}, "vertex count True is not"),
         (("closure",), {"n": 4, "triples": [{"pair": [True, 3], "point": 2}]}, "vertex True"),
+        (("closure",), {**TRIPLES_4, "label_base": True}, "label_base True is not 0 or 1"),
+        (("closure",), {**TRIPLES_4, "label_base": 1.5}, "label_base 1.5 is not 0 or 1"),
+        (("metrize", "witness"), {**TRIPLES_4, "label_base": 2}, "label_base 2 is not 0 or 1"),
+        (("induce",), weights_doc(1.5, "1"), "numerator 1.5 is not an integer"),
+        (("induce",), weights_doc(True, "1"), "numerator True is not an integer"),
+        (("induce",), weights_doc("3", 2.0), "denominator 2.0 is not an integer"),
+        (("induce",), weights_doc("3", "0"), "has denominator 0"),
+        (("induce",), weights_doc("3/4", "1"), "numerator '3/4' is not an integer"),
+        (("vc", "dim"), {"n": 3, "sets": [[True]]}, "vertex True not in 1..3"),
+        (("vc", "dim"), {"n": -3, "sets": []}, "vertex count -3 is not"),
+        (("vc", "dim"), {"n": 3, "sets": [[4]]}, "vertex 4 not in 1..3"),
     ],
     ids=[
         "missing_file",
@@ -304,6 +336,17 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         "negative_n_resume",
         "bool_n_graph",
         "bool_vertex_closure",
+        "bool_label_base",
+        "fractional_label_base",
+        "label_base_2_witness",
+        "float_numerator",
+        "bool_numerator",
+        "float_denominator",
+        "zero_denominator",
+        "slash_numerator",
+        "bool_vc_element",
+        "negative_n_vc",
+        "out_of_range_vc_element",
     ],
 )
 def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
@@ -331,6 +374,10 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
         ("gen gnp-matching --n 3", "odd number of vertices"),
         ("gen gnp-matching --n 4 --p 0", "no perfect matching"),
         ("gen gnp-matching --n 4 --p 3/2", "probability must lie in [0, 1]"),
+        ("gen gnp-matching --n 4 --p 1/0", "has denominator 0"),
+        ("gen gnp-matching --n 4 --p 0.5", "numerator '0.5' is not an integer"),
+        ("vc build --n 4 --d 2 --p 1/0", "has denominator 0"),
+        ("gen join --n 3 --gamma 1/0", "has denominator 0"),
     ],
 )
 def test_invalid_argument_value_exit_2(capsys, argv, message):

@@ -9,146 +9,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import FractionTableau, maximize_two_phase
 from pathsystems import ratlp
-from pathsystems.rational import Q, ZERO, ONE
+from pathsystems.rational import Q
 from pathsystems.ratlp import (
     LinearSystem,
     maximize,
     solve_feasibility,
     verify_certificate,
 )
-
-
-# The Fraction tableau that `ratlp._Tableau` replaced, kept as the oracle
-# for the integer one: same interface, Bland's rule, every entry a Q.
-class FractionTableau:
-    """Dense tableau for min c.z s.t. A z = b, z >= 0 with b >= 0.
-
-    m artificial columns are appended and form the initial basis.  Input
-    entries (ints or Q) become Q on entry, so every entry is a Q.
-    """
-
-    def __init__(self, rows, rhs):
-        self.m = len(rows)
-        self.n = len(rows[0]) if rows else 0
-        self.width = self.n + self.m  # artificials appended
-        self.T = []
-        for i, row in enumerate(rows):
-            art = [ZERO] * self.m
-            art[i] = ONE
-            self.T.append([Q(x) for x in row] + art + [Q(rhs[i])])
-        self.basis = [self.n + i for i in range(self.m)]
-        # Phase-1 reduced costs: c = (0..0, 1..1); y = all-ones.
-        self.cost = [ZERO] * (self.width + 1)
-        for j in range(self.n):
-            s = ZERO
-            for i in range(self.m):
-                s += self.T[i][j]
-            self.cost[j] = -s
-        self.cost[self.width] = -sum((r[self.width] for r in self.T), ZERO)
-
-    @property
-    def objective(self):
-        return -self.cost[self.width]
-
-    def pivot(self, r, c):
-        T = self.T
-        row = T[r]
-        piv = row[c]
-        if piv != ONE:
-            inv = ONE / piv
-            T[r] = row = [x * inv for x in row]
-        for other in T:
-            if other is row:
-                continue
-            f = other[c]
-            if f:
-                for j, rv in enumerate(row):
-                    if rv:
-                        other[j] -= f * rv
-        f = self.cost[c]
-        if f:
-            for j, rv in enumerate(row):
-                if rv:
-                    self.cost[j] -= f * rv
-        self.basis[r] = c
-
-    def run(self, allowed):
-        """Bland's rule over columns < allowed; returns "optimal" or "unbounded"."""
-        T, cost = self.T, self.cost
-        while True:
-            enter = -1
-            for j in range(allowed):
-                if cost[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal"
-            leave = -1
-            best = None
-            for i in range(self.m):
-                a = T[i][enter]
-                if a > 0:
-                    ratio = T[i][self.width] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return "unbounded"
-            self.pivot(leave, enter)
-
-    def phase1(self):
-        """Minimize the artificial sum; returns the optimum (>= 0)."""
-        status = self.run(self.n)
-        assert status == "optimal"  # phase-1 objective is bounded below by 0
-        return self.objective
-
-    def duals(self):
-        """Phase-1 dual vector y (length m), from artificial reduced costs."""
-        return [ONE - self.cost[self.n + i] for i in range(self.m)]
-
-    def solution(self):
-        z = [ZERO] * self.n
-        for i, bv in enumerate(self.basis):
-            if bv < self.n:
-                z[bv] = self.T[i][self.width]
-        return z
-
-    def drive_out_artificials(self):
-        """Pivot artificials out of the basis; drop redundant rows."""
-        keep = []
-        for i in range(self.m):
-            if self.basis[i] < self.n:
-                keep.append(i)
-                continue
-            piv_col = -1
-            for j in range(self.n):
-                if self.T[i][j]:
-                    piv_col = j
-                    break
-            if piv_col >= 0:
-                self.pivot(i, piv_col)
-                keep.append(i)
-            # else: redundant all-zero row, drop it
-        self.T = [self.T[i] for i in keep]
-        self.basis = [self.basis[i] for i in keep]
-        self.m = len(self.T)
-
-    def set_objective(self, c):
-        """Install reduced costs for a new objective vector (length n)."""
-        cost = list(c) + [ZERO] * (self.width - self.n) + [ZERO]
-        for i, bv in enumerate(self.basis):
-            cb = cost[bv] if bv < self.n else ZERO
-            if cb:
-                for j, rv in enumerate(self.T[i]):
-                    if rv:
-                        cost[j] -= cb * rv
-        # Zero out reduced costs of basic columns exactly.
-        for bv in self.basis:
-            cost[bv] = ZERO
-        self.cost = cost
 
 
 def satisfies(system, x):
@@ -189,7 +58,8 @@ def test_nonnegative_route():
 
 
 def test_dual_route_many_rows():
-    # More inequality rows than variables forces the certificate-search path.
+    # Free variables take the certificate-search route, here with more
+    # inequality rows than variables.
     rows = tuple(((1, k), Q(k)) for k in range(0, 6))
     system = LinearSystem(2, inequalities=rows)
     res = solve_feasibility(system)
@@ -220,6 +90,13 @@ def test_maximize_infeasible():
         1, equalities=(((1,), -1),), objective=(1,), nonnegative_vars=True
     )
     assert maximize(system).status == "infeasible"
+
+
+def test_maximize_without_rows_over_nonnegative_vars():
+    # max -3y over x, y >= 0: the origin is optimal, nothing is unbounded.
+    system = LinearSystem(2, objective=(0, -3), nonnegative_vars=True)
+    res = maximize(system)
+    assert res.status == "optimal" and res.value == 0
 
 
 def test_exact_rationals_no_drift():
@@ -309,10 +186,10 @@ small_rationals = st.builds(Q, small_entries, st.sampled_from([1, 1, 1, 2, 3]))
 def rational_systems(draw, with_objective=False):
     """Rational systems of up to 5 variables and 14 rows.
 
-    Row counts fall on both sides of the via-dual threshold (rows >
-    num_vars + 1).  An equality may be repeated with a factor -2, -1 or 2,
-    so the artificial of the copy can stay basic at level 0 after phase 1
-    and `drive_out_artificials` must pivot it out or drop its row.
+    An equality may be repeated with a factor -2, -1 or 2, so the
+    artificial of the copy can stay basic at level 0 after phase 1 (the
+    oracle's `drive_out_artificials` must then pivot it out or drop its
+    row).
     """
     nv = draw(st.integers(min_value=1, max_value=5))
     row = st.tuples(st.lists(small_rationals, min_size=nv, max_size=nv).map(tuple), small_rationals)
@@ -347,7 +224,14 @@ def test_feasibility_matches_fraction_oracle(system):
 @settings(max_examples=300, deadline=None)
 @given(rational_systems(with_objective=True))
 def test_maximize_matches_fraction_oracle(system):
-    assert maximize(system) == with_fraction_tableau(maximize, system)
+    res = maximize(system)
+    expected = maximize_two_phase(system)
+    assert (res.status, res.value) == (expected.status, expected.value)
+    if res.status == "optimal":
+        assert satisfies(system, res.solution)
+        assert sum(c * x for c, x in zip(system.objective, res.solution)) == res.value
+    elif res.status == "infeasible":
+        assert verify_certificate(system, res.certificate)
 
 
 O_SCRIPT = textwrap.dedent(
@@ -357,11 +241,11 @@ O_SCRIPT = textwrap.dedent(
     from pathsystems.ratlp import LinearSystem, solve_feasibility
 
     assert False, "asserts must be stripped"
-    few = [  # rows <= num_vars + 1: the direct route
-        LinearSystem(2, equalities=(((1, 1), 3),)),
-        LinearSystem(1, equalities=(((1,), 1),), inequalities=(((1,), 2),)),
+    direct = [  # non-negative variables: the direct route
+        LinearSystem(2, equalities=(((1, 1), 3),), nonnegative_vars=True),
+        LinearSystem(1, equalities=(((1,), 1),), inequalities=(((1,), 2),), nonnegative_vars=True),
     ]
-    many = [  # rows > num_vars + 1: the via-dual route
+    via_dual = [  # free variables: the via-dual route
         LinearSystem(1, inequalities=(((1,), 1), ((1,), 2), ((-1,), -5))),
         LinearSystem(1, inequalities=(((1,), 1), ((1,), 2), ((-1,), -1))),
     ]
@@ -375,7 +259,7 @@ O_SCRIPT = textwrap.dedent(
     ratlp._Tableau.solution = corrupt(ratlp._Tableau.solution)
     ratlp._Tableau.duals = corrupt(ratlp._Tableau.duals)
     messages = []
-    for system in few + many:
+    for system in direct + via_dual:
         try:
             solve_feasibility(system)
             messages.append(None)
