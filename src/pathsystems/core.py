@@ -249,7 +249,7 @@ class Resume:
         return dict(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripleSet:
     """Set of pointed triples over [n]."""
 

@@ -232,6 +232,8 @@ def gen_bipartite(half_n, choices, noise_seed):
     weights and the path system they induce, certified unique.
     """
     h = int(half_n)
+    if h < 0:
+        raise ValueError(f"half_n={half_n} is negative")
     g = Graph(2 * h, [(i, h + j) for i in range(1, h + 1) for j in range(1, h + 1)])
     matching = [(i, h + i) for i in range(1, h + 1)]
     midpoints = {p: h + k for p, k in choices.items()}
@@ -240,6 +242,8 @@ def gen_bipartite(half_n, choices, noise_seed):
 
 def gen_join(n):
     """J_n = gen_join_gamma(2n, 1/2): anti-clique 1..n joined to a clique n+1..2n."""
+    if n < 0:
+        raise ValueError(f"n={n} is negative")
     return gen_join_gamma(2 * n, Q(1, 2))
 
 

@@ -18,12 +18,10 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from math import lcm
 
 from .core import (
     Graph,
     PathSystem,
-    Resume,
     TripleSet,
     all_pairs,
     all_pointed_triples,
@@ -32,7 +30,7 @@ from .core import (
     pointed_triple,
 )
 from .ratlp import LinearSystem, solve_feasibility
-from .rational import Q, ZERO, ONE, ensure
+from .rational import Q, ZERO, ONE, ensure, scaled_to_integers
 
 __all__ = [
     "Pseudometric",
@@ -65,30 +63,51 @@ def pair_indices(n):
 
 
 @functools.lru_cache(maxsize=None)
+def _pair_index(n):
+    """Shared `pair_indices(n)`; callers must not mutate it."""
+    return pair_indices(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _triple_index(n):
+    """The pair indices ({a,c}, {c,b}, {a,b}) of every pointed triple
+    {a,b;c} of [n], in lexicographic order of the triples.
+
+    The table and its triples are shared: callers must not mutate it.
+    """
+    idx = _pair_index(n)
+    return {
+        (a, b, c): (idx[pair(a, c)], idx[pair(c, b)], idx[(a, b)])
+        for a, b, c in all_pointed_triples(n)
+    }
+
+
+@functools.lru_cache(maxsize=None)
 def _delta_table(n):
     """Delta_t of every pointed triple t of [n], in lexicographic order of t.
 
     Delta_{a,b;c} has +1 at {a,c} and {c,b} and -1 at {a,b}, indexed as
-    `pair_indices`.  The table is shared: callers must not mutate it.
+    `pair_indices`; its keys are those of `_triple_index(n)`.  The table is
+    shared: callers must not mutate it.
     """
-    idx = pair_indices(n)
     table = {}
-    for a, b, c in all_pointed_triples(n):
-        vec = [0] * len(idx)
-        vec[idx[pair(a, c)]] = vec[idx[pair(c, b)]] = 1
-        vec[idx[(a, b)]] = -1
-        table[(a, b, c)] = tuple(vec)
+    for t, (ac, cb, ab) in _triple_index(n).items():
+        vec = [0] * (n * (n - 1) // 2)
+        vec[ac] = vec[cb] = 1
+        vec[ab] = -1
+        table[t] = tuple(vec)
     return table
 
 
 def _delta_sum(n, terms):
     """Sum of coeff * Delta_t over (t, coeff) terms with canonical triples t."""
-    table = _delta_table(n)
+    index = _triple_index(n)
     vec = [0] * (n * (n - 1) // 2)
     for t, coeff in terms:
-        for i, d in enumerate(table[t]):
-            if d:
-                vec[i] += d * coeff
+        ac, cb, ab = index[t]
+        vec[ac] += coeff
+        vec[cb] += coeff
+        vec[ab] -= coeff
     return tuple(vec)
 
 
@@ -108,7 +127,13 @@ def resume_signature(f):
 
 
 class Pseudometric:
-    """Symmetric non-negative distance with zero diagonal, exact rationals."""
+    """Symmetric non-negative distance with zero diagonal, exact rationals.
+
+    `distances` is one tuple in `all_pairs(n)` order; `d` gives a new
+    {pair: distance} dict.
+    """
+
+    __slots__ = ("n", "distances")
 
     def __init__(self, n, values):
         self.n = int(n)
@@ -116,30 +141,39 @@ class Pseudometric:
         # 7 distinct values); one shared object per value keeps a metric
         # small.  Rationals are immutable, so sharing is safe.
         shared = {}
-        self.d = {}
-        for p in all_pairs(self.n):
-            v = Q(values[p])
-            self.d[p] = shared.setdefault(v, v)
+        distances = [Q(values[p]) for p in all_pairs(self.n)]
+        self.distances = tuple([shared.setdefault(v, v) for v in distances])
         self.validate()
+
+    @property
+    def d(self):
+        return dict(zip(all_pairs(self.n), self.distances))
 
     def value(self, a, b):
         if a == b:
             return ZERO
-        return self.d[pair(a, b)]
+        return self.distances[_pair_index(self.n)[pair(a, b)]]
 
     def validate(self):
-        for p, v in self.d.items():
+        """Non-negative distances and every triangle inequality, checked on
+        the distances scaled to integers."""
+        for p, v in zip(all_pairs(self.n), self.distances):
             if v < 0:
                 raise ValueError(f"negative distance at {p}")
-        for a, b, c in all_pointed_triples(self.n):
-            if self.value(a, c) + self.value(c, b) < self.value(a, b):
+        d, _ = scaled_to_integers(self.distances)
+        for (a, b, c), (ac, cb, ab) in _triple_index(self.n).items():
+            if d[ac] + d[cb] < d[ab]:
                 raise ValueError(f"triangle inequality fails on {{{a},{b};{c}}}")
 
     def is_metric(self):
-        return all(v > 0 for v in self.d.values())
+        return all(v > 0 for v in self.distances)
 
     def __eq__(self, other):
-        return isinstance(other, Pseudometric) and self.n == other.n and self.d == other.d
+        return (
+            isinstance(other, Pseudometric)
+            and self.n == other.n
+            and self.distances == other.distances
+        )
 
     def __repr__(self):
         return f"Pseudometric(n={self.n})"
@@ -177,17 +211,20 @@ class WitnessAlpha(dict):
             if v < 0:
                 raise ValueError("witness coefficients must be non-negative")
             if v:
-                self[pointed_triple(*t)] = v
+                # A canonical triple is kept as given, so the witnesses of
+                # `is_realizable` share the triples of `_delta_table`.
+                key = pointed_triple(*t)
+                self[t if t == key else key] = v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrictnessResult:
     strict: bool
     metric: Pseudometric | None = None
     witness: WitnessAlpha | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealizabilityResult:
     realizable: bool
     metric: Pseudometric | None = None
@@ -202,7 +239,7 @@ class InduceResult:
     tie_count: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchOutcome:
     status: str  # "found" | "not_found" | "inconclusive"
     multiset: tuple | None = None
@@ -230,8 +267,7 @@ def build_lp(sys):
 
 
 def _metric_from_solution(n, x):
-    idx = pair_indices(n)
-    return Pseudometric(n, {p: x[i] for p, i in idx.items()})
+    return Pseudometric(n, dict(zip(all_pairs(n), x)))
 
 
 def _farkas_to_alpha(n, colinear, eq_triples, ineq_triples, cert):
@@ -279,12 +315,11 @@ def is_strictly_metric(sys):
 
 
 def triples_of_metric(rho):
-    """T(rho): pointed triples where the triangle inequality is tight."""
-    tight = set()
-    for t in all_pointed_triples(rho.n):
-        a, b, c = t
-        if rho.value(a, c) + rho.value(c, b) == rho.value(a, b):
-            tight.add(t)
+    """T(rho): pointed triples where the triangle inequality is tight,
+    compared on the distances scaled to integers."""
+    d, _ = scaled_to_integers(rho.distances)
+    index = _triple_index(rho.n)
+    tight = [t for t, (ac, cb, ab) in index.items() if d[ac] + d[cb] == d[ab]]
     return TripleSet(rho.n, frozenset(tight))
 
 
@@ -385,11 +420,13 @@ def is_realizable(S):
 
 def verify_witness(S, alpha):
     """Exact check of sum over S of Delta = sum alpha_t Delta_t, alpha >= 0,
-    with support not contained in S."""
+    with support not contained in S.  Both sides are multiplied by the lcm
+    L of the coefficients' denominators, so the sums are over integers."""
     n = S.n
     if any(v < 0 for v in alpha.values()):
         return False
-    if _delta_sum(n, alpha.items()) != triple_signature(S):
+    coeffs, L = scaled_to_integers(list(alpha.values()))
+    if _delta_sum(n, zip(alpha, coeffs)) != tuple([L * x for x in triple_signature(S)]):
         return False
     support = {t for t, v in alpha.items() if v}
     return not support <= S.triples
@@ -417,8 +454,8 @@ def _ray(cert):
     completion over those columns, or over any subset of them.  Scaling by
     the lcm of the denominators keeps the sign of every dot product.
     """
-    den = lcm(*[b.denominator for b in cert.beta])
-    return tuple((i, int(b * den)) for i, b in enumerate(cert.beta) if b)
+    beta, _ = scaled_to_integers(cert.beta)
+    return tuple((i, b) for i, b in enumerate(beta) if b)
 
 
 def _excludes(ray, residual):
@@ -548,4 +585,4 @@ def closure(S):
         res = is_realizable(current)
         if res.realizable:
             return current
-        current = TripleSet(S.n, current.triples | res.witness.keys())
+        current = TripleSet(S.n, current.triples.union(res.witness))

@@ -7,7 +7,9 @@ gmpy2's mpq (the optional `fast` extra) is used when available; the
 stdlib Fraction is a drop-in fallback.  `BACKEND` names the one in use.
 Integer LP data stays integer: the LP core keeps int input as ints,
 pivots over Python ints, and builds rationals only for non-integer input
-and for its results, so the backend matters mostly outside it.
+and for its results, so the backend matters mostly outside it.  The
+exact re-checks scale their rationals to integers (`scaled_to_integers`)
+before comparing.
 
 Every solution, certificate and witness is re-checked exactly before it
 is returned; `ensure` makes each re-check raise `VerificationError`, so
@@ -15,6 +17,7 @@ the checks also run under `python -O`, which strips `assert`.
 """
 
 from fractions import Fraction
+from math import lcm
 
 try:
     from gmpy2 import mpq as Q
@@ -36,6 +39,16 @@ def ensure(condition, what):
     """Raise VerificationError naming `what` unless `condition` holds."""
     if not condition:
         raise VerificationError(f"re-check failed: {what}")
+
+
+def scaled_to_integers(values):
+    """The integers L*v for the lcm L of the denominators of `values`, and L.
+
+    Ints and rationals are accepted alike.  A positive common scale keeps
+    every sign, comparison and linear relation of the values.
+    """
+    L = lcm(*[v.denominator for v in values])
+    return [v.numerator * (L // v.denominator) for v in values], L
 
 
 def rat(num, den=1):

@@ -20,15 +20,14 @@ multipliers with no duality gap prove each other optimal.
 
 Integer data stays integer from input to tableau: `LinearSystem` keeps
 int coefficients and right-hand sides as ints and turns only other
-values (Fraction/mpq, float, str) into `Q`.  The tableau works over
-Python ints: each row holds integer numerators over one positive row
-denominator, and rationals are built only when the solution or the
-duals are read.
+values (Fraction/mpq, float, str) into `Q`.  The simplex is revised: it
+keeps the constraint matrix as sparse integer columns, each scaled by
+the lcm of its denominators, and only [B^-1 | B^-1 b] over integers.
 
 On either route every returned witness is re-checked against all
-constraints exactly, and every certificate is re-verified, before being
-returned; a failed re-check raises `VerificationError`, also under
-`python -O`.
+constraints, and every certificate is re-verified, before being
+returned.  The re-checks scale the rationals to integers and raise
+`VerificationError` on failure, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .rational import Q, ZERO, ensure
+from .rational import Q, ZERO, ensure, scaled_to_integers
 
 __all__ = [
     "LinearSystem",
@@ -55,10 +54,10 @@ def _exact(v):
 
 
 def _exact_vec(values, length):
-    # Rows are built from lists, here and in `_integer_row`: a tuple built
-    # from a generator is allocated at a guessed size and resized, which
-    # moves it between CPython's per-size tuple free lists, and LP rows of
-    # many lengths then leave megabytes parked in those lists.
+    # Rows are built from lists: a tuple built from a generator is allocated
+    # at a guessed size and resized, which moves it between CPython's
+    # per-size tuple free lists, and LP rows of many lengths then leave
+    # megabytes parked in those lists.
     vec = tuple([v if type(v) is int else Q(v) for v in values])
     if len(vec) != length:
         raise ValueError(f"expected vector of length {length}, got {len(vec)}")
@@ -121,7 +120,7 @@ class OptimizeResult:
 
 
 # ---------------------------------------------------------------------------
-# Phase-1 tableau simplex (equality standard form, Bland's rule)
+# Revised phase-1 simplex (equality standard form, Bland's rule)
 # ---------------------------------------------------------------------------
 
 
@@ -131,12 +130,6 @@ def _reduced(nums, den):
     if g == 1:
         return nums, den
     return [x // g for x in nums], den // g
-
-
-def _integer_row(values):
-    """Ints or exact rationals as integer numerators over one positive denominator."""
-    den = lcm(*[v.denominator for v in values])
-    return [int(v * den) for v in values], den
 
 
 def _eliminate(row, den, f, prow, pden, support):
@@ -158,78 +151,84 @@ def _eliminate(row, den, f, prow, pden, support):
 
 
 class _Tableau:
-    """Phase-1 tableau for A z = b, z >= 0 with b >= 0.
+    """Revised phase-1 simplex for A z = b, z >= 0 with b >= 0.
 
-    m artificial columns are appended and form the initial basis.  Every
-    row, the cost row included, holds integer numerators over one positive
-    integer row denominator: entry j of row i is T[i][j] / den[i], and the
-    reduced cost of column j is cost[j] / cden.  A pivot puts each row it
-    touches back in lowest terms.  Rationals are built only when the
+    m artificial columns form the initial basis B.  Column j of A is
+    stored once, sparse, multiplied by D_j, the lcm of its denominators: a
+    positive column scale keeps the sign of every reduced cost and the
+    order of every ratio, so Bland's rule pivots as on the unscaled
+    tableau, and z_j is D_j times the scaled value.  Only [B^-1 | B^-1 b]
+    is kept, row i as m+1 integer numerators over one positive row
+    denominator den[i], with the cost row over the artificials and the
+    rhs, as numerators over cden.  Each step prices the columns in index
+    order with pi = cost_art - cden up to the first negative one, forms
+    B^-1 A_j, and pivots at width m+1.  Rationals are built only when the
     optimum, the solution or the duals are read.
     """
 
     def __init__(self, rows, rhs):
-        self.m = len(rows)
+        self.m = m = len(rows)
         self.n = len(rows[0]) if rows else 0
-        self.width = self.n + self.m  # artificials appended
+        self.cols, self.scale = [], []
+        for col in zip(*rows):
+            nonzero = [(i, v) for i, v in enumerate(col) if v]
+            scale = lcm(*[v.denominator for _, v in nonzero])
+            self.cols.append([(i, v.numerator * (scale // v.denominator)) for i, v in nonzero])
+            self.scale.append(scale)
         self.T, self.den = [], []
-        for i, row in enumerate(rows):
-            nums, den = _integer_row([*row, rhs[i]])
-            art = [0] * self.m
-            art[i] = den
-            self.T.append(nums[:-1] + art + nums[-1:])
-            self.den.append(den)
-        self.basis = [self.n + i for i in range(self.m)]
-        # Phase-1 reduced costs: c = (0..0, 1..1); y = all-ones.
+        for i, b in enumerate(rhs):
+            row = [0] * (m + 1)
+            row[i], row[m] = b.denominator, b.numerator
+            self.T.append(row)
+            self.den.append(b.denominator)
+        self.basis = [self.n + i for i in range(m)]
+        # Phase-1 costs: 1 on every artificial, so y = all-ones at the start.
         cden = lcm(*self.den)
-        cost = [0] * (self.width + 1)
-        for row, den in zip(self.T, self.den):
-            scale = cden // den
-            for j in range(self.n):
-                if row[j]:
-                    cost[j] -= scale * row[j]
-            cost[self.width] -= scale * row[self.width]
-        self.cost, self.cden = _reduced(cost, cden)
+        total = sum(row[m] * (cden // den) for row, den in zip(self.T, self.den))
+        self.cost, self.cden = _reduced([0] * m + [-total], cden)
 
-    def pivot(self, r, c):
+    def pivot(self, r, c, column, f):
+        """Enter column c (B^-1 A_c in `column`, reduced cost f/cden) at row r."""
         T, den = self.T, self.den
-        row = T[r]
-        piv = row[c]
-        if piv < 0:
-            row = [-x for x in row]
-            piv = -piv
-        # Row r divided by its pivot entry: the numerators over piv.
-        row, piv = _reduced(row, piv)
+        # Row r divided by its pivot entry (> 0): the numerators over it.
+        row, piv = _reduced(T[r], column[r])
         T[r], den[r] = row, piv
         support = [j for j, x in enumerate(row) if x]
-        for i, other in enumerate(T):
-            f = other[c]
-            if f and i != r:
-                T[i], den[i] = _eliminate(other, den[i], f, row, piv, support)
-        f = self.cost[c]
-        if f:
-            self.cost, self.cden = _eliminate(self.cost, self.cden, f, row, piv, support)
+        for i, a in enumerate(column):
+            if a and i != r:
+                T[i], den[i] = _eliminate(T[i], den[i], a, row, piv, support)
+        self.cost, self.cden = _eliminate(self.cost, self.cden, f, row, piv, support)
         self.basis[r] = c
 
     def phase1(self):
         """Minimize the artificial sum by Bland's rule; returns the optimum (>= 0)."""
-        w, basis = self.width, self.basis
+        m, basis = self.m, self.basis
         while True:
-            cost = self.cost
+            cden = self.cden
+            pi = [c - cden for c in self.cost[:m]]
             enter = -1
-            for j in range(self.n):
-                if cost[j] < 0:
+            for j, col in enumerate(self.cols):
+                f = 0
+                for i, a in col:
+                    f += pi[i] * a
+                if f < 0:
                     enter = j
                     break
             if enter < 0:
-                return Q(-cost[w], self.cden)
-            # Minimum ratio T[i][w] / T[i][enter] over a > 0; the row
+                return Q(-self.cost[m], cden)
+            col = self.cols[enter]
+            column = []
+            for row in self.T:
+                a = 0
+                for i, x in col:
+                    a += row[i] * x
+                column.append(a)
+            # Minimum ratio (B^-1 b)_i / column_i over column_i > 0; the row
             # denominators cancel, and cross-multiplying compares exactly.
             leave = -1
-            for i, row in enumerate(self.T):
-                a = row[enter]
+            for i, a in enumerate(column):
                 if a > 0:
-                    b = row[w]
+                    b = self.T[i][m]
                     if leave < 0:
                         leave, best_b, best_a = i, b, a
                         continue
@@ -237,17 +236,17 @@ class _Tableau:
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave, best_b, best_a = i, b, a
             ensure(leave >= 0, "phase-1 objective is bounded below by 0")
-            self.pivot(leave, enter)
+            self.pivot(leave, enter, column, f)
 
     def duals(self):
         """Phase-1 dual vector y (length m), from artificial reduced costs."""
-        return [Q(self.cden - self.cost[self.n + i], self.cden) for i in range(self.m)]
+        return [Q(self.cden - self.cost[i], self.cden) for i in range(self.m)]
 
     def solution(self):
         z = [ZERO] * self.n
         for i, bv in enumerate(self.basis):
             if bv < self.n:
-                z[bv] = Q(self.T[i][self.width], self.den[i])
+                z[bv] = Q(self.T[i][self.m] * self.scale[bv], self.den[i])
         return z
 
 
@@ -257,16 +256,18 @@ class _Tableau:
 
 
 def _check_solution(system, x):
-    """Exact check of x against every row; zero terms add nothing."""
-    support = [(v, xv) for v, xv in enumerate(x) if xv]
-    for a, b in system.equalities:
-        if sum((a[v] * xv for v, xv in support if a[v]), ZERO) != b:
-            return False
-    for a, b in system.inequalities:
-        if sum((a[v] * xv for v, xv in support if a[v]), ZERO) < b:
-            return False
+    """Exact check of x against every row, with x and the right-hand sides
+    scaled by the lcm L of x's denominators; zero terms add nothing."""
     if system.nonnegative_vars and any(xi < 0 for xi in x):
         return False
+    ints, L = scaled_to_integers(x)
+    support = [(v, xv) for v, xv in enumerate(ints) if xv]
+    for a, b in system.equalities:
+        if sum([a[v] * xv for v, xv in support]) != b * L:
+            return False
+    for a, b in system.inequalities:
+        if sum([a[v] * xv for v, xv in support]) < b * L:
+            return False
     return True
 
 
@@ -275,23 +276,24 @@ def verify_certificate(system, cert):
 
     The multipliers must combine the rows to 0 (to <= 0 componentwise when
     the variables are non-negative) and the right-hand sides to a positive
-    number.  Zero multipliers and zero coefficients are skipped: they add
-    exactly 0.
+    number.  They are scaled to integers by the lcm of their denominators,
+    which keeps every sign.  Zero multipliers and zero coefficients are
+    skipped: they add exactly 0.
     """
     n_eq, n_ineq = len(system.equalities), len(system.inequalities)
     if len(cert.lam) != n_ineq or len(cert.beta) != n_eq:
         return False
     if any(l < 0 for l in cert.lam):
         return False
-    combo = [ZERO] * system.num_vars
-    total = ZERO
-    for rows, mults in ((system.equalities, cert.beta), (system.inequalities, cert.lam)):
-        for (a, b), mult in zip(rows, mults):
-            if mult:
-                for v, av in enumerate(a):
-                    if av:
-                        combo[v] += mult * av
-                total += mult * b
+    mults, _ = scaled_to_integers([*cert.beta, *cert.lam])
+    combo = [0] * system.num_vars
+    total = 0
+    for (a, b), mult in zip(system.equalities + system.inequalities, mults):
+        if mult:
+            for v, av in enumerate(a):
+                if av:
+                    combo[v] += mult * av
+            total += mult * b
     if system.nonnegative_vars:
         if any(c > 0 for c in combo):
             return False
@@ -335,25 +337,15 @@ def _feasibility_via_dual(system):
     right-hand sides, and one non-negative column per inequality and two
     per equality (beta = beta+ - beta-).
     """
-    V = system.num_vars
-    n_eq, n_ineq = len(system.equalities), len(system.inequalities)
-    m = V + 1
-    cols = []  # each: length-m column vector
-    for a, b in system.inequalities:
-        cols.append(list(a) + [b])
+    V, n_ineq = system.num_vars, len(system.inequalities)
+    cols = [[*a, b] for a, b in system.inequalities]  # length V+1 each
     for a, b in system.equalities:
-        cols.append(list(a) + [b])
-        cols.append([-x for x in a] + [-b])
-    rows = [[col[i] for col in cols] for i in range(m)]
-    rhs = [0] * V + [1]
-    tab = _Tableau(rows, rhs)
+        cols += [[*a, b], [-x for x in (*a, b)]]
+    tab = _Tableau(list(zip(*cols)), [0] * V + [1])
     if tab.phase1() == 0:
         z = tab.solution()
-        lam = tuple(z[:n_ineq])
-        beta = tuple(
-            z[n_ineq + 2 * j] - z[n_ineq + 2 * j + 1] for j in range(n_eq)
-        )
-        cert = FarkasCertificate(lam=lam, beta=beta)
+        beta = tuple(p - q for p, q in zip(z[n_ineq::2], z[n_ineq + 1 :: 2]))
+        cert = FarkasCertificate(lam=tuple(z[:n_ineq]), beta=beta)
         ensure(verify_certificate(system, cert), "via-dual Farkas certificate")
         return FeasibilityResult(False, certificate=cert)
     y = tab.duals()

@@ -1,5 +1,9 @@
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,19 @@ def test_version_names_rational_backend(capsys):
     assert BACKEND in ("fractions.Fraction", "gmpy2.mpq")
 
 
+def test_python_m_pathsystems_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "pathsystems", "--version"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0
+    assert out.stdout == f"pathsystems {__version__} ({BACKEND})\n"
+
+
 def test_gen_gnp_matching(capsys):
     code, out = run(capsys, "--seed", "3", "gen", "gnp-matching", "--n", "12", "--p", "3/5")
     assert code == 0
@@ -378,6 +395,8 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
         ("gen gnp-matching --n 4 --p 0.5", "numerator '0.5' is not an integer"),
         ("vc build --n 4 --d 2 --p 1/0", "has denominator 0"),
         ("gen join --n 3 --gamma 1/0", "has denominator 0"),
+        ("gen join --n -3", "n=-3 is negative"),
+        ("gen bipartite --half-n -1", "half_n=-1 is negative"),
     ],
 )
 def test_invalid_argument_value_exit_2(capsys, argv, message):

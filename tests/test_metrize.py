@@ -71,6 +71,53 @@ def test_pseudometric_validation():
     assert triples_of_metric(rho).triples == {(2, 3, 1)}
 
 
+def four_point_values():
+    # Every distance lies in [1, 2), so every triangle inequality holds.
+    return {p: 1 + Q(i, 7) for i, p in enumerate(all_pairs(4))}
+
+
+def test_pseudometric_d_is_the_distance_dict():
+    values = four_point_values()
+    rho = Pseudometric(4, values)
+    assert rho.d == values and list(rho.d) == all_pairs(4)
+    assert not hasattr(rho, "__dict__")
+
+
+def test_pseudometric_value_is_symmetric():
+    rho = Pseudometric(4, four_point_values())
+    for a, b in all_pairs(4):
+        assert rho.value(a, b) == rho.value(b, a) == rho.d[(a, b)]
+    assert rho.value(2, 2) == 0
+
+
+def test_mutating_d_leaves_the_pseudometric_unchanged():
+    values = four_point_values()
+    rho = Pseudometric(4, values)
+    d = rho.d
+    d[(1, 2)] = Q(99)
+    del d[(3, 4)]
+    assert rho.d == values and rho.value(1, 2) == values[(1, 2)]
+
+
+def test_pseudometric_equality_compares_values():
+    values = four_point_values()
+    rho = Pseudometric(4, values)
+    assert rho == Pseudometric(4, {p: str(v) for p, v in values.items()})
+    assert rho != Pseudometric(4, {**values, (1, 2): values[(1, 2)] + Q(1, 10**12)})
+    assert rho != Pseudometric(3, {p: v for p, v in values.items() if p[1] <= 3})
+
+
+def test_integer_rechecks_see_a_trillionth():
+    eps = Q(1, 10**12)
+    with pytest.raises(ValueError, match="triangle inequality fails"):
+        Pseudometric(3, {(1, 2): 1, (1, 3): 1, (2, 3): 2 + eps})
+    rho = Pseudometric(3, {(1, 2): 1, (1, 3): 1, (2, 3): 2 - eps})
+    assert triples_of_metric(rho).triples == frozenset()
+    ts, alpha = golden_fixture()
+    t = next(iter(alpha))
+    assert not verify_witness(ts, WitnessAlpha({**alpha, t: alpha[t] + eps}))
+
+
 def test_k3_strictly_metric():
     sys = PathSystem(3, [(1, 2), (1, 3), (2, 3)])
     res = is_strictly_metric(sys)
@@ -165,6 +212,15 @@ def triple_sets(draw):
 @given(triple_sets())
 def test_closure_matches_per_triple_oracle(ts):
     assert closure(ts) == closure_per_triple(ts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(triple_sets())
+def test_closure_shares_its_triples(ts):
+    # Each triple of the closure is an object of S or a key of the Delta
+    # table (where witness supports come from): closure copies no triple.
+    shared = {id(t) for t in ts.triples} | {id(t) for t in metrize._delta_table(ts.n)}
+    assert all(id(t) in shared for t in closure(ts).triples)
 
 
 def test_closure_of_golden_set_matches_oracle():

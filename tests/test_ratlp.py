@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import FractionTableau, maximize_two_phase
 from pathsystems import ratlp
@@ -219,6 +220,76 @@ def with_fraction_tableau(solve, system):
 @given(rational_systems())
 def test_feasibility_matches_fraction_oracle(system):
     assert solve_feasibility(system) == with_fraction_tableau(solve_feasibility, system)
+
+
+def pivots(tableau, system):
+    """The (row, column) of every pivot `tableau` makes in `solve_feasibility`."""
+    made = []
+
+    class Recording(tableau):
+        def pivot(self, r, c, *rest):
+            made.append((r, c))
+            super().pivot(r, c, *rest)
+
+    with mock.patch.object(ratlp, "_Tableau", Recording):
+        solve_feasibility(system)
+    return made
+
+
+# Column 0 of the direct route's standard form holds 1/2 and 1/3, and the
+# via-dual route's first column holds 1/3, -1 and 1/6: both are scaled by 6.
+MIXED_DENOMINATORS = LinearSystem(
+    2,
+    equalities=(((Q(1, 2), 1), 1),),
+    inequalities=(((Q(1, 3), -1), Q(1, 6)),),
+    nonnegative_vars=True,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+@example(MIXED_DENOMINATORS)
+@example(dataclasses.replace(MIXED_DENOMINATORS, nonnegative_vars=False))
+def test_revised_tableau_pivots_like_fraction_oracle(system):
+    assert pivots(ratlp._Tableau, system) == pivots(FractionTableau, system)
+
+
+def test_column_scale_keeps_pivots_solution_and_duals():
+    rows = [[Q(1, 2), Q(2, 3), 1, 0], [Q(1, 3), Q(-1, 6), 0, 1], [1, Q(1, 4), 1, 1]]
+    rhs = [Q(3, 2), Q(1, 5), 2]
+    revised, dense = ratlp._Tableau(rows, rhs), FractionTableau(rows, rhs)
+    assert revised.scale == [6, 12, 1, 1]
+    assert revised.phase1() == dense.phase1()
+    assert revised.basis == dense.basis
+    assert revised.solution() == dense.solution()
+    assert revised.duals() == dense.duals()
+
+
+def test_rechecks_reject_a_trillionth_on_both_routes():
+    eps = Q(1, 10**12)
+    for nonnegative in (True, False):
+        # Feasible: x + 2y = 3, x - y >= 0.
+        system = LinearSystem(
+            2,
+            equalities=(((1, 2), 3),),
+            inequalities=(((1, -1), 0),),
+            nonnegative_vars=nonnegative,
+        )
+        x = solve_feasibility(system).solution
+        assert ratlp._check_solution(system, x)
+        assert not ratlp._check_solution(system, (x[0] + eps, x[1]))
+        assert not ratlp._check_solution(system, (x[0], x[1] - eps))
+        # Infeasible: x + y = 1 and x + y >= 2.
+        system = LinearSystem(
+            2,
+            equalities=(((1, 1), 1),),
+            inequalities=(((1, 1), 2),),
+            nonnegative_vars=nonnegative,
+        )
+        cert = solve_feasibility(system).certificate
+        assert verify_certificate(system, cert)
+        moved = ratlp.FarkasCertificate(lam=(cert.lam[0] + eps,), beta=cert.beta)
+        assert not verify_certificate(system, moved)
 
 
 @settings(max_examples=300, deadline=None)
