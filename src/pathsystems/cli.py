@@ -202,6 +202,8 @@ def cmd_closure(args):
 
 
 def cmd_gen(args):
+    if getattr(args, "limit", 0) < 0:
+        raise ValueError(f"--limit {args.limit} is negative")
     if args.family == "diam2":
         g = _read(args.graph, jsonio.graph_from_json)
         systems = list(itertools.islice(generators.enumerate_diam2(g), args.limit))

@@ -40,7 +40,6 @@ __all__ = [
     "RealizabilityResult",
     "InduceResult",
     "SearchOutcome",
-    "pair_indices",
     "delta",
     "triple_signature",
     "resume_signature",
@@ -57,15 +56,10 @@ __all__ = [
 ]
 
 
-def pair_indices(n):
-    """Lexicographic index of each unordered pair of [n]."""
-    return {p: i for i, p in enumerate(all_pairs(n))}
-
-
 @functools.lru_cache(maxsize=None)
 def _pair_index(n):
-    """Shared `pair_indices(n)`; callers must not mutate it."""
-    return pair_indices(n)
+    """Lexicographic index of each unordered pair of [n]; shared, do not mutate."""
+    return {p: i for i, p in enumerate(all_pairs(n))}
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,7 +81,7 @@ def _delta_table(n):
     """Delta_t of every pointed triple t of [n], in lexicographic order of t.
 
     Delta_{a,b;c} has +1 at {a,c} and {c,b} and -1 at {a,b}, indexed as
-    `pair_indices`; its keys are those of `_triple_index(n)`.  The table is
+    `_pair_index(n)`; its keys are those of `_triple_index(n)`.  The table is
     shared: callers must not mutate it.
     """
     table = {}

@@ -21,8 +21,9 @@ multipliers with no duality gap prove each other optimal.
 Integer data stays integer from input to tableau: `LinearSystem` keeps
 int coefficients and right-hand sides as ints and turns only other
 values (Fraction/mpq, float, str) into `Q`.  The simplex is revised: it
-keeps the constraint matrix as sparse integer columns, each scaled by
-the lcm of its denominators, and only [B^-1 | B^-1 b] over integers.
+takes the constraint matrix as columns, which each route builds once,
+keeps them as sparse integer columns scaled by the lcm of their
+denominators, and keeps only [B^-1 | B^-1 b] over integers.
 
 On either route every returned witness is re-checked against all
 constraints, and every certificate is re-verified, before being
@@ -153,6 +154,7 @@ def _eliminate(row, den, f, prow, pden, support):
 class _Tableau:
     """Revised phase-1 simplex for A z = b, z >= 0 with b >= 0.
 
+    It takes `cols`, the n columns of A, and `rhs`, the m entries of b.
     m artificial columns form the initial basis B.  Column j of A is
     stored once, sparse, multiplied by D_j, the lcm of its denominators: a
     positive column scale keeps the sign of every reduced cost and the
@@ -166,11 +168,11 @@ class _Tableau:
     optimum, the solution or the duals are read.
     """
 
-    def __init__(self, rows, rhs):
-        self.m = m = len(rows)
-        self.n = len(rows[0]) if rows else 0
+    def __init__(self, cols, rhs):
+        self.m = m = len(rhs)
+        self.n = len(cols)
         self.cols, self.scale = [], []
-        for col in zip(*rows):
+        for col in cols:
             nonzero = [(i, v) for i, v in enumerate(col) if v]
             scale = lcm(*[v.denominator for _, v in nonzero])
             self.cols.append([(i, v.numerator * (scale // v.denominator)) for i, v in nonzero])
@@ -305,21 +307,18 @@ def verify_certificate(system, cert):
 def _feasibility_direct(system):
     """Phase 1 on the standard form of a system over non-negative variables.
 
-    Each inequality gets a surplus column, and each row is negated where
-    its right-hand side is negative; int data gives int rows.
+    A is transposed once, negating row i where its right-hand side is
+    negative (sign_i = -1); inequality i adds a surplus column whose one
+    non-zero is -sign_i.  Int data gives int columns.
     """
-    n_eq, n_ineq = len(system.equalities), len(system.inequalities)
-    rows, rhs, signs = [], [], []
-    for idx, (a, b) in enumerate(system.equalities + system.inequalities):
-        surplus = [0] * n_ineq
-        if idx >= n_eq:
-            surplus[idx - n_eq] = -1
-        row = [*a, *surplus]
-        sign = -1 if b < 0 else 1
-        rows.append(row if sign > 0 else [-x for x in row])
-        rhs.append(sign * b)
-        signs.append(sign)
-    tab = _Tableau(rows, rhs)
+    n_eq = len(system.equalities)
+    rows = system.equalities + system.inequalities
+    signs = [-1 if b < 0 else 1 for _, b in rows]
+    cols = [[s * v for s, v in zip(signs, col)] for col in zip(*[a for a, _ in rows])]
+    for i in range(n_eq, len(rows)):
+        cols.append([0] * len(rows))
+        cols[-1][i] = -signs[i]
+    tab = _Tableau(cols, [s * b for s, (_, b) in zip(signs, rows)])
     if tab.phase1() == 0:
         x = tuple(tab.solution()[: system.num_vars])
         ensure(_check_solution(system, x), "direct-route solution")
@@ -334,14 +333,14 @@ def _feasibility_via_dual(system):
     """Search for a Farkas certificate; its absence yields a primal witness.
 
     The certificate system has one row per variable plus one for the
-    right-hand sides, and one non-negative column per inequality and two
-    per equality (beta = beta+ - beta-).
+    right-hand sides, and one non-negative column (*a, b) per inequality
+    and two per equality (beta = beta+ - beta-).
     """
     V, n_ineq = system.num_vars, len(system.inequalities)
     cols = [[*a, b] for a, b in system.inequalities]  # length V+1 each
     for a, b in system.equalities:
         cols += [[*a, b], [-x for x in (*a, b)]]
-    tab = _Tableau(list(zip(*cols)), [0] * V + [1])
+    tab = _Tableau(cols, [0] * V + [1])
     if tab.phase1() == 0:
         z = tab.solution()
         beta = tuple(p - q for p, q in zip(z[n_ineq::2], z[n_ineq + 1 :: 2]))

@@ -217,11 +217,14 @@ def build_maximum_class(y, chooser=None):
     The result has exactly sum_{i<=d} C(n, i) members with d = k+1 and VC
     dimension d, hence is a maximum class.  `chooser(s, cands)` picks the
     extension vertex of the missing face s; the default takes the smallest
-    compatible vertex.
+    compatible vertex.  d > n raises ValueError: no family of subsets of
+    [n] has VC dimension above n.
     """
+    d = y.k + 1
+    if d > y.n:
+        raise ValueError(f"VC dimension d={d} exceeds n={y.n}")
     if chooser is None:
         chooser = lambda s, cands: cands[0]
-    d = y.k + 1
     sets = set(y.all_faces())
     for s in itertools.combinations(range(1, y.n + 1), y.k + 1):
         s = frozenset(s)

@@ -221,19 +221,21 @@ def integral_witness_search_per_candidate(S, time_budget=None):
 class FractionTableau:
     """Dense tableau for min c.z s.t. A z = b, z >= 0 with b >= 0.
 
-    m artificial columns are appended and form the initial basis.  Input
-    entries (ints or Q) become Q on entry, so every entry is a Q.
+    Takes the n columns of A and the m entries of b, as
+    `pathsystems.ratlp._Tableau` does, and stores A by rows.  m artificial
+    columns are appended and form the initial basis.  Input entries (ints
+    or Q) become Q on entry, so every entry is a Q.
     """
 
-    def __init__(self, rows, rhs):
-        self.m = len(rows)
-        self.n = len(rows[0]) if rows else 0
+    def __init__(self, cols, rhs):
+        self.m = len(rhs)
+        self.n = len(cols)
         self.width = self.n + self.m  # artificials appended
         self.T = []
-        for i, row in enumerate(rows):
+        for i in range(self.m):
             art = [ZERO] * self.m
             art[i] = ONE
-            self.T.append([Q(x) for x in row] + art + [Q(rhs[i])])
+            self.T.append([Q(col[i]) for col in cols] + art + [Q(rhs[i])])
         self.basis = [self.n + i for i in range(self.m)]
         # Phase-1 reduced costs: c = (0..0, 1..1); y = all-ones.
         self.cost = [ZERO] * (self.width + 1)
@@ -376,7 +378,7 @@ def maximize_two_phase(system):
         if any(cj > 0 if nonneg else cj != 0 for cj in c):
             return OptimizeResult("unbounded")
         return OptimizeResult("optimal", value=ZERO, solution=(ZERO,) * V)
-    tab = FractionTableau(rows, rhs)
+    tab = FractionTableau(list(zip(*rows)), rhs)
     if tab.phase1() != 0:
         return OptimizeResult("infeasible")
     tab.drive_out_artificials()

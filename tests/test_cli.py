@@ -397,6 +397,9 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
         ("gen join --n 3 --gamma 1/0", "has denominator 0"),
         ("gen join --n -3", "n=-3 is negative"),
         ("gen bipartite --half-n -1", "half_n=-1 is negative"),
+        ("vc build --n 4 --d 5", "VC dimension d=5 exceeds n=4"),
+        ("vc build --n 0 --d 1", "VC dimension d=1 exceeds n=0"),
+        ("gen monotone --n 3 --limit -2", "--limit -2 is negative"),
     ],
 )
 def test_invalid_argument_value_exit_2(capsys, argv, message):

@@ -211,6 +211,20 @@ def rational_systems(draw, with_objective=False):
     )
 
 
+# Systems over no variables, with free and with non-negative variables:
+# the direct route's tableau has only surplus columns, and the via-dual
+# route's columns have length 1.  0 >= -1 holds; 0 >= 1/2 fails.
+NO_VARIABLES = LinearSystem(0, inequalities=(((), -1),))
+NO_VARIABLES_INFEASIBLE = LinearSystem(
+    0, equalities=(((), 0),), inequalities=(((), -1), ((), Q(1, 2)))
+)
+ZERO_VARIABLE_EXAMPLES = [
+    dataclasses.replace(system, nonnegative_vars=nonnegative)
+    for system in (NO_VARIABLES, NO_VARIABLES_INFEASIBLE)
+    for nonnegative in (False, True)
+]
+
+
 def with_fraction_tableau(solve, system):
     with mock.patch.object(ratlp, "_Tableau", FractionTableau):
         return solve(system)
@@ -218,6 +232,10 @@ def with_fraction_tableau(solve, system):
 
 @settings(max_examples=300, deadline=None)
 @given(rational_systems())
+@example(ZERO_VARIABLE_EXAMPLES[0])
+@example(ZERO_VARIABLE_EXAMPLES[1])
+@example(ZERO_VARIABLE_EXAMPLES[2])
+@example(ZERO_VARIABLE_EXAMPLES[3])
 def test_feasibility_matches_fraction_oracle(system):
     assert solve_feasibility(system) == with_fraction_tableau(solve_feasibility, system)
 
@@ -250,14 +268,18 @@ MIXED_DENOMINATORS = LinearSystem(
 @given(rational_systems())
 @example(MIXED_DENOMINATORS)
 @example(dataclasses.replace(MIXED_DENOMINATORS, nonnegative_vars=False))
+@example(ZERO_VARIABLE_EXAMPLES[0])
+@example(ZERO_VARIABLE_EXAMPLES[1])
+@example(ZERO_VARIABLE_EXAMPLES[2])
+@example(ZERO_VARIABLE_EXAMPLES[3])
 def test_revised_tableau_pivots_like_fraction_oracle(system):
     assert pivots(ratlp._Tableau, system) == pivots(FractionTableau, system)
 
 
 def test_column_scale_keeps_pivots_solution_and_duals():
-    rows = [[Q(1, 2), Q(2, 3), 1, 0], [Q(1, 3), Q(-1, 6), 0, 1], [1, Q(1, 4), 1, 1]]
+    cols = [[Q(1, 2), Q(1, 3), 1], [Q(2, 3), Q(-1, 6), Q(1, 4)], [1, 0, 1], [0, 1, 1]]
     rhs = [Q(3, 2), Q(1, 5), 2]
-    revised, dense = ratlp._Tableau(rows, rhs), FractionTableau(rows, rhs)
+    revised, dense = ratlp._Tableau(cols, rhs), FractionTableau(cols, rhs)
     assert revised.scale == [6, 12, 1, 1]
     assert revised.phase1() == dense.phase1()
     assert revised.basis == dense.basis
