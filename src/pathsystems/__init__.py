@@ -74,7 +74,6 @@ from .rational import (
     Q,
     VerificationError,
     parse_rational,
-    rat,
     rational_to_json,
     rational_to_text,
 )

@@ -232,7 +232,7 @@ def cmd_gen(args):
         rng = random.Random(args.seed)
         xs = {e[0]: e[1] for e in matching}
         choices = {p: rng.choice((xs[p[0]], xs[p[1]])) for p in adm}
-        w = generators.matching_weights(g, matching, choices, args.seed)
+        w, _ = generators.matching_weights(g, matching, choices, args.seed)
         doc = {
             "graph": jsonio.graph_to_json(g),
             "matching": [list(e) for e in matching],
@@ -280,6 +280,8 @@ def cmd_vc(args):
         _emit({"dim": vc.vc_dim(family)}, args.format)
         return 0
     # build
+    if args.d < 1:
+        raise ValueError(f"--d {args.d} is below 1")
     p = parse_rational(args.p)
     last_error = None
     for attempt in range(10):

@@ -198,19 +198,10 @@ class PathSystem:
         missing = [p for p in all_pairs(self.n) if p not in canon]
         if missing:
             raise ValueError(f"no path for pairs {missing}")
-        if len(canon) != len(all_pairs(self.n)):
-            raise ValueError("unexpected extra paths")
         self.paths = canon
 
     def path(self, u, v):
         return self.paths[pair(u, v)]
-
-    @property
-    def support_graph(self):
-        used = set()
-        for p in self.paths.values():
-            used |= path_edges(p)
-        return Graph(self.n, used)
 
     def __eq__(self, other):
         return (
@@ -353,8 +344,8 @@ def is_neighborly(sys, g):
 
 
 def diameter(sys):
-    """Largest path length (in edges) in the system."""
-    return max(len(p) - 1 for p in sys.paths.values())
+    """Largest path length (in edges) in the system; 0 when n <= 1."""
+    return max((len(p) - 1 for p in sys.paths.values()), default=0)
 
 
 def extract_resume(sys):

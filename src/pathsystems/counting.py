@@ -1,10 +1,12 @@
 """Exact counting: diameter-2 products, brute-force enumeration of
 consistent systems, the product formulas for boxed and symmetric plane
 partitions, an asymptotics check, and the signature-separation
-experiment.
+experiment on [4].
 
-Products are evaluated as one exact fraction and checked to reduce to an
-integer; their independent enumeration oracles live in the tests.
+Products are evaluated exactly and checked to reduce to an integer;
+MacMahon's product is computed once, by `boxed_count`, and the
+asymptotics check takes its logarithm.  The independent enumeration
+oracles live in the tests.
 """
 
 from __future__ import annotations
@@ -117,15 +119,19 @@ def enumerate_consistent(n):
 
 
 def boxed_count(r, s, t):
-    """MacMahon's product for (r,s,t)-boxed plane partitions, exactly."""
+    """MacMahon's product for (r,s,t)-boxed plane partitions, exactly.
+
+    The product of (i+j+t-1)/(i+j-1) over i <= r and j <= s, with each
+    row i in closed form: prod_i C(i+s+t-1, s) / prod_i C(i+s-1, s).
+    """
     if min(r, s, t) < 0:
         raise ValueError("dimensions must be non-negative")
-    total = Fraction(1)
+    num = den = 1
     for i in range(1, r + 1):
-        for j in range(1, s + 1):
-            total *= Fraction(i + j + t - 1, i + j - 1)
-    ensure(total.denominator == 1, "MacMahon product is an integer")
-    return total.numerator
+        num *= comb(i + s + t - 1, s)
+        den *= comb(i + s - 1, s)
+    ensure(num % den == 0, "MacMahon product is an integer")
+    return num // den
 
 
 def sym_count(r, t):
@@ -145,23 +151,16 @@ def sym_count(r, t):
 def asymptotic_check(n):
     """ln N(n,n,n) / n^2 as an exact-product, fixed-precision logarithm.
 
-    N is computed exactly through the binomial-ratio form of MacMahon's
-    product; only the final logarithm leaves exact arithmetic, at 20
-    decimal digits.
+    N = boxed_count(n, n, n) is exact; only the final logarithm leaves
+    exact arithmetic, at 20 decimal digits.
     """
     if n > 256:
         raise ValueError("n capped at 256")
     if n == 0:
         return Fraction(0)
-    num = 1
-    den = 1
-    for k in range(1, n + 1):
-        num *= comb(2 * n + k - 1, n)
-        den *= comb(n + k - 1, n)
     with localcontext() as ctx:
         ctx.prec = 35  # the 20 digits above plus 15 guard digits
-        value = (Decimal(num).ln() - Decimal(den).ln()) / (Decimal(n) ** 2)
-        value = +value
+        value = Decimal(boxed_count(n, n, n)).ln() / (Decimal(n) ** 2)
     return Fraction(value)
 
 
@@ -184,16 +183,15 @@ def _all_partial_functions(n):
         yield Resume(n, entries)
 
 
-def signature_separation_experiment(n=4):
+def signature_separation_experiment():
     """Check that signatures separate resume from non-resume partial maps.
 
-    For every strictly metric consistent system on [n], the signatures of
+    For every strictly metric consistent system on [4], the signatures of
     its resumes must be disjoint from the signatures of all other partial
     functions.  Returns a report; raises if a collision is found (which
     would contradict the separation lemma).
     """
-    if n != 4:
-        raise ValueError("the experiment is specified for n = 4")
+    n = 4
     partials = list(_all_partial_functions(n))
     signatures = [(g, resume_signature(g)) for g in partials]
     report = {

@@ -5,9 +5,10 @@ graphs, bipartite half-and-half systems, joins of a clique with an
 anti-clique, and the monotone systems they host.  Every randomized
 construction is seeded and certified through one path: `matching_weights`
 (the bipartite family is its instance on K_{h,h}) redraws weight noise
-until the induced geodesics are provably unique, and checks the chosen
-paths on the very system it certified, so each accepted draw is induced
-once.  `gen_join` is `gen_join_gamma` at gamma = 1/2.
+until the induced geodesics are provably unique, checks the chosen paths
+on the very system it certified, and returns the weights with that
+system, so each accepted draw is induced once.  `gen_join` is
+`gen_join_gamma` at gamma = 1/2.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ W_OTHER = Q(12, 10)
 # Noise is drawn from the grid {k/10^6 : 0 <= k <= 10^4}, i.e. [0, 1/100].
 NOISE_DEN = 10**6
 NOISE_MAX = 10**4
+# Noise draws before a construction gives up on unique geodesics.
+MAX_ATTEMPTS = 64
 
 
 def _bernoulli(rng, p):
@@ -133,13 +136,6 @@ def perfect_matching(g, seed=0):
     return sorted(pair(v, matched[v]) for v in matched if v < matched[v])
 
 
-def _matching_sides(matching):
-    """Split matching edges into (x_i, y_i) with x_i the smaller endpoint."""
-    xs = [e[0] for e in matching]
-    ys = [e[1] for e in matching]
-    return xs, ys
-
-
 def admissible_pairs(g, matching):
     """Pairs {x_i, x_j} that are non-adjacent but cross-linked through M.
 
@@ -153,24 +149,19 @@ def admissible_pairs(g, matching):
         verts |= set(e)
     if not edge_set <= g.edges:
         raise MatchingError("matching uses non-edges")
-    xs, ys = _matching_sides(matching)
-    k = len(xs)
-    result = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            if g.has_edge(xs[i], xs[j]):
-                continue
-            if g.has_edge(xs[i], ys[j]) and g.has_edge(xs[j], ys[i]):
-                result.append(pair(xs[i], xs[j]))
-    return result
+    return [
+        pair(xi, xj)
+        for (xi, yi), (xj, yj) in itertools.combinations(matching, 2)
+        if not g.has_edge(xi, xj) and g.has_edge(xi, yj) and g.has_edge(xj, yi)
+    ]
 
 
-def _certified_weights(g, classes, rng, max_attempts=64):
+def _certified_weights(g, classes, rng):
     """Add grid noise to per-edge base weights until geodesics are unique.
 
     Returns the weight function and the path system it induces.
     """
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         w = {e: classes[e] + _noise(rng) for e in sorted(g.edges)}
         wf = WeightFunction(g, w)
         res = induce_system(wf)
@@ -187,17 +178,12 @@ def matching_weights(g, matching, choices, noise_seed):
     on a chosen path 11/10, all others 12/10, each plus grid noise; fresh
     noise is drawn until the induced geodesics are certified unique, and
     every chosen path is checked to appear in that certified system.
+    Returns the weight function and the certified system it induces.
     """
-    return _certified_matching_weights(g, matching, choices, noise_seed)[0]
-
-
-def _certified_matching_weights(g, matching, choices, noise_seed):
-    """`matching_weights` with the certified system the weights induce."""
     adm = admissible_pairs(g, matching)
     if sorted(choices) != sorted(adm):
         raise ValueError("choices must cover exactly the admissible pairs")
-    xs, ys = _matching_sides(matching)
-    y_of = dict(zip(xs, ys))
+    y_of = dict(matching)
     chosen_paths = []
     for (xi, xj), mid in choices.items():
         if mid not in (y_of[xi], y_of[xj]):
@@ -237,7 +223,7 @@ def gen_bipartite(half_n, choices, noise_seed):
     g = Graph(2 * h, [(i, h + j) for i in range(1, h + 1) for j in range(1, h + 1)])
     matching = [(i, h + i) for i in range(1, h + 1)]
     midpoints = {p: h + k for p, k in choices.items()}
-    return (g, *_certified_matching_weights(g, matching, midpoints, noise_seed))
+    return (g, *matching_weights(g, matching, midpoints, noise_seed))
 
 
 def gen_join(n):

@@ -1,4 +1,6 @@
-"""Canonical JSON (de)serialization for every public object.
+"""Canonical JSON documents: a writer for every document the CLI prints,
+and a loader for each one it reads (graphs, systems, résumés, triple
+sets, witnesses, weights and set systems).
 
 All arrays are emitted in a fixed sorted order so identical inputs yield
 byte-identical documents.  Rationals travel as {"num", "den"} decimal
@@ -13,10 +15,9 @@ from __future__ import annotations
 import json
 
 from .core import Graph, PathSystem, Resume, TripleSet, pointed_triple
-from .generators import MonotoneMatrix
-from .metrize import Pseudometric, WeightFunction, WitnessAlpha
+from .metrize import WeightFunction, WitnessAlpha
 from .rational import parse_rational, rational_to_json
-from .vc import SetSystem, SimplicialComplex
+from .vc import SetSystem
 
 __all__ = [
     "dumps",
@@ -31,15 +32,12 @@ __all__ = [
     "witness_to_json",
     "witness_from_json",
     "pseudometric_to_json",
-    "pseudometric_from_json",
     "weights_to_json",
     "weights_from_json",
     "monotone_to_json",
-    "monotone_from_json",
     "setsystem_to_json",
     "setsystem_from_json",
     "complex_to_json",
-    "complex_from_json",
 ]
 
 
@@ -151,16 +149,6 @@ def pseudometric_to_json(rho):
     }
 
 
-def pseudometric_from_json(doc):
-    n = doc["n"]
-    values = {
-        (i, j): parse_rational(doc["d"][i - 1][j - 1])
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    }
-    return Pseudometric(n, values)
-
-
 def weights_to_json(w):
     return {
         "graph": graph_to_json(w.graph),
@@ -186,14 +174,6 @@ def monotone_to_json(m):
     return {"n": m.n, "rows": rows}
 
 
-def monotone_from_json(doc):
-    n = doc["n"]
-    rows = [
-        [1 if i == j else doc["rows"][i][j] for j in range(n)] for i in range(n)
-    ]
-    return MonotoneMatrix(n, tuple(tuple(r) for r in rows))
-
-
 def setsystem_to_json(f):
     return {"n": f.n, "sets": [sorted(s) for s in f]}
 
@@ -204,9 +184,3 @@ def setsystem_from_json(doc):
 
 def complex_to_json(y):
     return {"n": y.n, "k": y.k, "faces": sorted(sorted(f) for f in y.faces)}
-
-
-def complex_from_json(doc):
-    return SimplicialComplex(
-        doc["n"], doc["k"], frozenset(frozenset(f) for f in doc["faces"])
-    )

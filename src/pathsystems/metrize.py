@@ -511,21 +511,16 @@ def integral_witness_search(S, time_budget=None):
         candidates.append(t)
     nodes = 0
 
-    def recurse(ix, remaining, residual, solution=None):
+    def recurse(ix, remaining, residual, chosen, solution=None):
+        # `chosen`: the multiset so far, sorted since candidates are.
         # `solution`: a known completion of residual over candidates[ix:].
         nonlocal nodes
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             raise _Budget
         if remaining == 0:
-            if all(r == 0 for r in residual):
-                counts = dict(assignment)
-                support = {t for t, c in counts.items() if c}
-                if not support <= S.triples:
-                    multiset = tuple(
-                        sorted(t for t, c in counts.items() for _ in range(c))
-                    )
-                    return multiset
+            if not any(residual) and not set(chosen) <= S.triples:
+                return chosen
             return None
         if ix == len(candidates):
             return None
@@ -540,21 +535,15 @@ def integral_witness_search(S, time_budget=None):
         t = candidates[ix]
         d = deltas[t]
         for c in range(remaining + 1):
-            if c:
-                assignment[t] = c
-            elif t in assignment:
-                del assignment[t]
             new_res = [residual[i] - c * d[i] for i in range(len(residual))]
             child = solution[1:] if solution[0] == c else None
-            found = recurse(ix + 1, remaining - c, new_res, child)
+            found = recurse(ix + 1, remaining - c, new_res, chosen + (t,) * c, child)
             if found is not None:
                 return found
-        assignment.pop(t, None)
         return None
 
-    assignment = {}
     try:
-        found = recurse(0, m, list(target))
+        found = recurse(0, m, list(target), ())
     except _Budget:
         return SearchOutcome("inconclusive", nodes=nodes)
     finally:

@@ -51,11 +51,6 @@ def scaled_to_integers(values):
     return [v.numerator * (L // v.denominator) for v in values], L
 
 
-def rat(num, den=1):
-    """Exact rational from integers (or anything Q accepts)."""
-    return Q(num, den)
-
-
 def _integer(value, what):
     """An int, or the int a decimal string spells; bools and floats are refused."""
     if type(value) is int:

@@ -82,12 +82,6 @@ class SimplicialComplex:
             canon.add(f)
         object.__setattr__(self, "faces", frozenset(canon))
 
-    def is_face(self, s):
-        s = frozenset(s)
-        if len(s) <= self.k:
-            return _check_subset(s, self.n) == s
-        return s in self.faces
-
     def all_faces(self):
         """Every face: all subsets of size <= k plus the explicit top faces."""
         verts = range(1, self.n + 1)
@@ -161,6 +155,8 @@ def sample_lm(n, k, p, seed):
     lexicographic order from the stream of random.Random(seed); for k = 1
     this reproduces the G(n, p) generator's edge set exactly.
     """
+    if k < 0:
+        raise ValueError(f"dimension k={k} is negative")
     rng = random.Random(seed)
     faces = [
         frozenset(s)

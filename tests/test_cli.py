@@ -83,6 +83,18 @@ def test_check_tsv(capsys, line4):
     assert "consistent\ttrue" in out.splitlines()
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_check_system_without_paths(capsys, tmp_path, n):
+    # No pair, no path: consistent, with diameter 0 like a one-vertex graph.
+    path = write(tmp_path, "empty.json", {"n": n, "paths": []})
+    code, out = run(capsys, "check", path)
+    assert code == 0
+    assert json.loads(out) == {"consistent": True, "diameter": 0}
+    code, out = run(capsys, "--tsv", "check", path)
+    assert code == 0
+    assert out.splitlines() == ["consistent\ttrue", "diameter\t0"]
+
+
 def test_resume_roundtrip(capsys, tmp_path, line4):
     code, out = run(capsys, "resume", "extract", line4)
     assert code == 0
@@ -387,7 +399,8 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
         ("gen monotone --n 9", "exceeds the enumeration cap"),
         ("gen monotone --n -3", "n=-3 is negative"),
         ("count monotone --n -3", "n=-3 is negative"),
-        ("vc build --n 4 --d 0", "dimension k must be non-negative"),
+        ("vc build --n 4 --d 0", "--d 0 is below 1"),
+        ("vc build --n 4 --d -1", "--d -1 is below 1"),
         ("gen gnp-matching --n 3", "odd number of vertices"),
         ("gen gnp-matching --n 4 --p 0", "no perfect matching"),
         ("gen gnp-matching --n 4 --p 3/2", "probability must lie in [0, 1]"),

@@ -309,8 +309,3 @@ def test_recover_non_simple_errors():
     f = Resume(4, (((1, 4), 2), ((2, 4), 1)))
     with pytest.raises(ResumeRecoveryError):
         recover_from_resume(f)
-
-
-def test_support_graph():
-    sys = line_system(4)
-    assert sys.support_graph.edges == frozenset({(1, 2), (2, 3), (3, 4)})

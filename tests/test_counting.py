@@ -83,8 +83,6 @@ def test_asymptotic_check_converges():
 
 
 def test_signature_separation():
-    report = signature_separation_experiment(4)
+    report = signature_separation_experiment()
     assert report["collisions"] == 0
     assert report["consistent_systems"] == 53
-    with pytest.raises(ValueError):
-        signature_separation_experiment(5)

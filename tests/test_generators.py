@@ -85,9 +85,9 @@ def test_matching_weights_realizes_choices():
     partner = {e[0]: e[1] for e in m}
     rng = random.Random(5)
     choices = {p: rng.choice((partner[p[0]], partner[p[1]])) for p in adm}
-    w = matching_weights(g, m, choices, 5)
+    w, system = matching_weights(g, m, choices, 5)
     res = induce_system(w)
-    assert res.unique
+    assert res.unique and res.system == system
     for (a, b), mid in choices.items():
         assert res.system.path(a, b) == (min(a, b), mid, max(a, b))
 
@@ -106,7 +106,7 @@ def test_matching_weights_induces_once(monkeypatch):
         return induce_system(w)
 
     monkeypatch.setattr(generators, "induce_system", counted)
-    w = matching_weights(g, m, choices, 5)
+    w, _ = matching_weights(g, m, choices, 5)
     assert calls == [w]
 
 

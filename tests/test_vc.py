@@ -80,6 +80,11 @@ def test_sample_lm_extremes_and_determinism():
     assert all(len(f) == 3 for f in a.faces)
 
 
+def test_sample_lm_refuses_negative_dimension():
+    with pytest.raises(ValueError, match="dimension k=-1 is negative"):
+        sample_lm(4, -1, Q(1, 2), 0)
+
+
 def test_compatible_vertices_c4():
     y = SimplicialComplex(
         4, 1, frozenset({frozenset(e) for e in [(1, 2), (2, 3), (3, 4), (1, 4)]})
