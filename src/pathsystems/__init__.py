@@ -93,7 +93,6 @@ from .vc import (
     build_maximum_class,
     compatible_vertices,
     family_of_system,
-    is_intersection_closed,
     is_maximum_class,
     sample_lm,
     sauer_bound,

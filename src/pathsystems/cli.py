@@ -137,6 +137,14 @@ def cmd_resume(args):
     return 0
 
 
+def _certificate(res):
+    """The realizing pseudometric of a Yes, or the witness of a No, of a
+    strictness or realizability result."""
+    if res.metric is not None:
+        return {"pseudometric": jsonio.pseudometric_to_json(res.metric)}
+    return {"witness": jsonio.witness_to_json(res.witness)}
+
+
 def cmd_metrize_test(args):
     sys = _read(args.system, jsonio.system_from_json)
     if args.mode == "metric":
@@ -146,11 +154,7 @@ def cmd_metrize_test(args):
             report["pseudometric"] = jsonio.pseudometric_to_json(rho)
     else:  # "strict" is an alias of "pseudo"
         res = is_strictly_metric(sys)
-        report = {"mode": "pseudo", "strictly_metric": res.strict}
-        if res.strict:
-            report["pseudometric"] = jsonio.pseudometric_to_json(res.metric)
-        else:
-            report["witness"] = jsonio.witness_to_json(res.witness)
+        report = {"mode": "pseudo", "strictly_metric": res.strict, **_certificate(res)}
     _emit(report, args.format)
     return 0
 
@@ -158,11 +162,8 @@ def cmd_metrize_test(args):
 def cmd_metrize_witness(args):
     ts = _read(args.tripleset, jsonio.tripleset_from_json)
     res = is_realizable(ts)
-    report = {"realizable": res.realizable}
-    if res.realizable:
-        report["pseudometric"] = jsonio.pseudometric_to_json(res.metric)
-    else:
-        report["witness"] = jsonio.witness_to_json(res.witness)
+    report = {"realizable": res.realizable, **_certificate(res)}
+    if not res.realizable:
         report["witness_verified"] = verify_witness(ts, res.witness)
     _emit(report, args.format)
     return 0
@@ -172,10 +173,7 @@ def cmd_metrize_realize(args):
     sys = _read(args.system, jsonio.system_from_json)
     res = is_strictly_metric(sys)
     if not res.strict:
-        _emit(
-            {"strictly_metric": False, "witness": jsonio.witness_to_json(res.witness)},
-            args.format,
-        )
+        _emit({"strictly_metric": False, **_certificate(res)}, args.format)
         return 1
     w = realize_weights(sys, res.metric)
     _emit(jsonio.weights_to_json(w), args.format)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -97,30 +96,6 @@ class Graph:
 
     def non_edges(self):
         return [p for p in all_pairs(self.n) if p not in self.edges]
-
-    def bfs_distances(self, source):
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
-    def is_connected(self):
-        return self.n <= 1 or len(self.bfs_distances(1)) == self.n
-
-    def diameter(self):
-        """Graph diameter in edges; None if disconnected."""
-        worst = 0
-        for v in range(1, self.n + 1):
-            dist = self.bfs_distances(v)
-            if len(dist) < self.n:
-                return None
-            worst = max(worst, max(dist.values()))
-        return worst
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -219,7 +194,11 @@ class PathSystem:
 
 @dataclass(frozen=True)
 class Resume:
-    """Partial map {u,v} -> interior vertex; encodes a path system."""
+    """Partial map {u,v} -> interior vertex; encodes a path system.
+
+    `entries` is a dict or a sequence of ((u, v), z) items; two different
+    values for one unordered pair are refused.
+    """
 
     n: int
     entries: tuple = field(default_factory=tuple)
@@ -227,13 +206,14 @@ class Resume:
     def __post_init__(self):
         _check_n(self.n)
         canon = {}
-        items = dict(self.entries).items() if not isinstance(self.entries, dict) else self.entries.items()
+        items = self.entries.items() if isinstance(self.entries, dict) else self.entries
         for (u, v), z in items:
             key = pair(u, v)
             _check_vertex(z, self.n)
             if z in key:
                 raise ValueError(f"résumé value {z} coincides with an endpoint of {key}")
-            canon[key] = z
+            if canon.setdefault(key, z) != z:
+                raise ValueError(f"two different résumé values for pair {key}")
         object.__setattr__(self, "entries", tuple(sorted(canon.items())))
 
     def as_dict(self):

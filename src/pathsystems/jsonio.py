@@ -86,55 +86,49 @@ def _label_offset(doc):
     return 1 - base
 
 
-def _shift_triple(t, offset):
+def _triple_to_json(t):
+    a, b, c = t
+    return {"pair": [a, b], "point": c}
+
+
+def _triple_from_json(doc, offset):
+    """The pointed triple {"pair": [a, b], "point": c}, shifted by `offset`."""
+    a, b, c = doc["pair"][0], doc["pair"][1], doc["point"]
     # A bool plus an int offset is an int: refuse bools before the shift.
-    for v in t:
+    for v in (a, b, c):
         if isinstance(v, bool):
             raise ValueError(f"vertex {v!r} is not an integer")
-    a, b, c = t
     return pointed_triple(a + offset, b + offset, c + offset)
 
 
 def tripleset_to_json(ts):
-    return {
-        "n": ts.n,
-        "triples": [{"pair": [a, b], "point": c} for a, b, c in ts],
-    }
+    return {"n": ts.n, "triples": [_triple_to_json(t) for t in ts]}
 
 
 def tripleset_from_json(doc):
     offset = _label_offset(doc)
-    triples = frozenset(
-        _shift_triple((t["pair"][0], t["pair"][1], t["point"]), offset)
-        for t in doc["triples"]
-    )
+    triples = frozenset(_triple_from_json(t, offset) for t in doc["triples"])
     return TripleSet(doc["n"], triples)
 
 
 def witness_to_json(alpha):
-    entries = []
-    for t in sorted(alpha):
-        a, b, c = t
-        rat = rational_to_json(alpha[t])
-        entries.append(
-            {
-                "triple": {"pair": [a, b], "point": c},
-                "num": rat["num"],
-                "den": rat["den"],
-            }
-        )
-    return {"alpha": entries}
+    return {
+        "alpha": [
+            {"triple": _triple_to_json(t), **rational_to_json(alpha[t])}
+            for t in sorted(alpha)
+        ]
+    }
 
 
 def witness_from_json(doc):
     offset = _label_offset(doc)
-    items = []
-    for e in doc["alpha"]:
-        t = _shift_triple(
-            (e["triple"]["pair"][0], e["triple"]["pair"][1], e["triple"]["point"]),
-            offset,
+    items = [
+        (
+            _triple_from_json(e["triple"], offset),
+            parse_rational({"num": e["num"], "den": e["den"]}),
         )
-        items.append((t, parse_rational({"num": e["num"], "den": e["den"]})))
+        for e in doc["alpha"]
+    ]
     return WitnessAlpha(items)
 
 
@@ -160,10 +154,12 @@ def weights_to_json(w):
 
 def weights_from_json(doc):
     g = graph_from_json(doc["graph"])
-    w = {
-        tuple(e["edge"]): parse_rational({"num": e["num"], "den": e["den"]})
+    # A list, not a dict: WeightFunction refuses two different weights for
+    # one edge, which a dict would drop silently.
+    w = [
+        (tuple(e["edge"]), parse_rational({"num": e["num"], "den": e["den"]}))
         for e in doc["weights"]
-    }
+    ]
     return WeightFunction(g, w)
 
 

@@ -174,19 +174,24 @@ class Pseudometric:
 
 
 class WeightFunction:
-    """Strictly positive rational weights on the edges of a graph."""
+    """Strictly positive rational weights on the edges of a graph.
+
+    `w` is a dict or a sequence of (edge, weight) items; two different
+    weights for one edge are refused.
+    """
 
     def __init__(self, graph, w):
         self.graph = graph
         self.w = {}
-        for e, val in w.items():
+        for e, val in w.items() if isinstance(w, dict) else w:
             e = pair(*e)
             if e not in graph.edges:
                 raise ValueError(f"weight on non-edge {e}")
             val = Q(val)
             if val <= 0:
                 raise ValueError(f"non-positive weight on {e}")
-            self.w[e] = val
+            if self.w.setdefault(e, val) != val:
+                raise ValueError(f"two different weights on edge {e}")
         if set(self.w) != set(graph.edges):
             raise ValueError("weights must cover exactly the graph's edges")
 
@@ -337,14 +342,13 @@ def realize_weights(sys, rho):
 def induce_system(w):
     """All-pairs unique-geodesic extraction with exact tie counting.
 
-    Distances come from Floyd-Warshall over exact rationals; per source,
-    geodesic counts are accumulated over tight predecessor edges in order
-    of increasing distance, and a vertex with one geodesic records its
+    Distances come from Floyd-Warshall over exact rationals, and a pair it
+    leaves unreachable raises ValueError: the graph is disconnected.  Per
+    source, geodesic counts are accumulated over tight predecessor edges in
+    order of increasing distance, and a vertex with one geodesic records its
     one tight predecessor, so its path follows those links back.
     """
     g = w.graph
-    if not g.is_connected():
-        raise ValueError("weight function's graph is disconnected")
     n = g.n
     verts = range(1, n + 1)
     dist = {u: {v: (ZERO if u == v else None) for v in verts} for u in verts}
@@ -365,6 +369,9 @@ def induce_system(w):
                 alt = dik + dkj
                 if di[j] is None or alt < di[j]:
                     di[j] = alt
+    # An unreachable pair keeps None, which the count pass cannot sort.
+    if any(d is None for du in dist.values() for d in du.values()):
+        raise ValueError("weight function's graph is disconnected")
     paths = {}
     for u in verts:
         du = dist[u]
@@ -426,34 +433,28 @@ def verify_witness(S, alpha):
     return not support <= S.triples
 
 
-def _completion(n, triples, residual):
-    """The verified verdict on y >= 0 over `triples` with sum y_t Delta_t = residual.
+def _completion(n, triples, residual, rays, ix):
+    """A verified y >= 0 over `triples` with sum y_t Delta_t = residual, or None.
 
-    A Yes carries y; a No carries a Farkas certificate whose beta is a ray
-    (see `_ray`).
+    `triples` are candidates[ix:] (the whole universe in the pre-filter,
+    with ix = 0).  A stored (tag, ray) with tag <= ix and ray . residual > 0
+    answers No without an LP.  An LP's No stores its Farkas beta, which has
+    beta . Delta_u <= 0 on every column u, as sparse integers (scaling keeps
+    every sign) with tag ix: beta . r > 0 rules r out over these columns.
     """
+    if any(tag <= ix and sum(b * residual[i] for i, b in ray) > 0 for tag, ray in rays):
+        return None
     table = _delta_table(n)
     cols = [table[t] for t in triples]
     # Rows from lists, not generators: see `ratlp._exact_vec`.
     eqs = tuple((tuple([col[i] for col in cols]), r) for i, r in enumerate(residual))
     system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
-    return solve_feasibility(system)
-
-
-def _ray(cert):
-    """A completion LP's Farkas beta, as sparse integer (coordinate, value) pairs.
-
-    The certificate gives sum_i beta_i a_i <= 0 componentwise, so
-    beta . Delta_u <= 0 on every column u: beta . r > 0 proves that r has no
-    completion over those columns, or over any subset of them.  Scaling by
-    the lcm of the denominators keeps the sign of every dot product.
-    """
-    beta, _ = scaled_to_integers(cert.beta)
-    return tuple((i, b) for i, b in enumerate(beta) if b)
-
-
-def _excludes(ray, residual):
-    return sum(b * residual[i] for i, b in ray) > 0
+    res = solve_feasibility(system)
+    if res.feasible:
+        return res.solution
+    beta, _ = scaled_to_integers(res.certificate.beta)
+    rays.append((ix, tuple((i, b) for i, b in enumerate(beta) if b)))
+    return None
 
 
 class _Budget(Exception):
@@ -501,13 +502,10 @@ def integral_witness_search(S, time_budget=None):
         if t not in admitted:
             d = deltas[t]
             shifted = [target[i] - d[i] for i in range(len(target))]
-            if any(_excludes(ray, shifted) for _, ray in rays):
+            y = _completion(n, universe, shifted, rays, 0)
+            if y is None:
                 continue
-            res = _completion(n, universe, shifted)
-            if not res.feasible:
-                rays.append((0, _ray(res.certificate)))
-                continue
-            admitted.update(u for u, y in zip(universe, res.solution) if y >= 1)
+            admitted.update(u for u, yu in zip(universe, y) if yu >= 1)
         candidates.append(t)
     nodes = 0
 
@@ -525,13 +523,9 @@ def integral_witness_search(S, time_budget=None):
         if ix == len(candidates):
             return None
         if solution is None:
-            if any(tag <= ix and _excludes(ray, residual) for tag, ray in rays):
+            solution = _completion(n, candidates[ix:], residual, rays, ix)
+            if solution is None:
                 return None
-            res = _completion(n, candidates[ix:], residual)
-            if not res.feasible:
-                rays.append((ix, _ray(res.certificate)))
-                return None
-            solution = res.solution
         t = candidates[ix]
         d = deltas[t]
         for c in range(remaining + 1):

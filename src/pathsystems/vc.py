@@ -25,7 +25,6 @@ __all__ = [
     "shatters",
     "vc_dim",
     "is_maximum_class",
-    "is_intersection_closed",
     "sauer_bound",
     "sample_lm",
     "compatible_vertices",
@@ -138,16 +137,6 @@ def is_maximum_class(family, d):
     return len(family.sets) == sauer_bound(family.n, d) and vc_dim(family) == d
 
 
-def is_intersection_closed(family):
-    """Pairwise intersections all belong to the family."""
-    sets = list(family.sets)
-    for i, a in enumerate(sets):
-        for b in sets[i + 1 :]:
-            if a & b not in family.sets:
-                return False
-    return True
-
-
 def sample_lm(n, k, p, seed):
     """A Linial-Meshulam complex Y_k(n, p).
 
@@ -207,20 +196,17 @@ def extension_base(y, e):
     return non_faces[0]
 
 
-def build_maximum_class(y, chooser=None):
+def build_maximum_class(y):
     """Faces of Y plus one compatible extension per missing top face.
 
+    Each missing (k+1)-set s is extended by its smallest compatible vertex.
     The result has exactly sum_{i<=d} C(n, i) members with d = k+1 and VC
-    dimension d, hence is a maximum class.  `chooser(s, cands)` picks the
-    extension vertex of the missing face s; the default takes the smallest
-    compatible vertex.  d > n raises ValueError: no family of subsets of
-    [n] has VC dimension above n.
+    dimension d, hence is a maximum class.  d > n raises ValueError: no
+    family of subsets of [n] has VC dimension above n.
     """
     d = y.k + 1
     if d > y.n:
         raise ValueError(f"VC dimension d={d} exceeds n={y.n}")
-    if chooser is None:
-        chooser = lambda s, cands: cands[0]
     sets = set(y.all_faces())
     for s in itertools.combinations(range(1, y.n + 1), y.k + 1):
         s = frozenset(s)
@@ -229,8 +215,7 @@ def build_maximum_class(y, chooser=None):
         cands = compatible_vertices(y, s)
         if not cands:
             raise NoCompatibleExtension(s)
-        a = chooser(s, cands)
-        ext = s | {a}
+        ext = s | {cands[0]}
         ensure(extension_base(y, ext) == s, "extension base")
         sets.add(ext)
     family = SetSystem(y.n, frozenset(sets))

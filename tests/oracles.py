@@ -12,10 +12,16 @@ stored Farkas rays and solutions.  `FractionTableau` is the simplex tableau
 over rationals that the integer `pathsystems.ratlp._Tableau` replaced, with
 a phase 2; `maximize_two_phase` runs the two-phase simplex on it, a second
 way to reach the optimum that `pathsystems.ratlp.maximize` proves by LP
-duality.
+duality.  `graph_diameter` measures a graph by breadth-first search, apart
+from the Floyd-Warshall table of `pathsystems.metrize.induce_system`, which
+decides connectivity there.  `is_intersection_closed` checks every pair of
+sets of a family, the closure property of the families of consistent
+systems.
 """
 
+import itertools
 import time
+from collections import deque
 
 from pathsystems.core import TripleSet, all_pairs
 from pathsystems.metrize import SearchOutcome, _delta_table, is_realizable, triple_signature
@@ -101,6 +107,30 @@ def is_boxed_plane_partition(matrix, r, s, t):
             if i + 1 < r and matrix[i + 1][j] > v:
                 return False
     return True
+
+
+def graph_diameter(g):
+    """Diameter of a `Graph` in edges, by breadth-first search from every
+    vertex; None if the graph is disconnected."""
+    worst = 0
+    for source in range(1, g.n + 1):
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in g.neighbors(u):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        if len(dist) < g.n:
+            return None
+        worst = max(worst, max(dist.values()))
+    return worst
+
+
+def is_intersection_closed(family):
+    """Every pairwise intersection of the family's sets belongs to it."""
+    return all(a & b in family.sets for a, b in itertools.combinations(family.sets, 2))
 
 
 def closure_per_triple(S):

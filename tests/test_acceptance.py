@@ -46,7 +46,6 @@ from pathsystems.generators import (
 )
 from pathsystems.metrize import (
     WeightFunction,
-    WitnessAlpha,
     closure,
     induce_system,
     integral_witness_search,
@@ -64,13 +63,18 @@ from pathsystems.vc import (
     NoCompatibleExtension,
     build_maximum_class,
     family_of_system,
-    is_intersection_closed,
     is_maximum_class,
     sample_lm,
     sauer_bound,
 )
 
-from oracles import boxed_brute, is_boxed_plane_partition, sym_brute
+from oracles import (
+    boxed_brute,
+    graph_diameter,
+    is_boxed_plane_partition,
+    is_intersection_closed,
+    sym_brute,
+)
 
 
 def report(n, text):
@@ -128,7 +132,7 @@ def test_criterion_04_diam2_count():
     while found < 10:
         g = gen_gnp(7, Q(1, 2), seed)
         seed += 1
-        if g.diameter() not in (1, 2):
+        if graph_diameter(g) not in (1, 2):
             continue
         found += 1
         assert count_d2(g) == sum(1 for _ in enumerate_diam2(g))
@@ -188,7 +192,7 @@ def test_criterion_06_metrizability_crosschecks():
         n = rng.choice((3, 4, 5))
         g = gen_gnp(n, Q(3, 4), 10_000 + seed)
         seed += 1
-        if not g.is_connected():
+        if graph_diameter(g) is None:
             continue
         w = WeightFunction(
             g, {e: Q(rng.randrange(1, 10**6), 10**3) for e in sorted(g.edges)}

@@ -10,7 +10,7 @@ import pytest
 from pathsystems import __version__, cli, generators, jsonio
 from pathsystems.cli import main
 from pathsystems.core import Graph, PathSystem, is_consistent
-from pathsystems.metrize import WeightFunction, induce_system
+from pathsystems.metrize import induce_system
 from pathsystems.rational import BACKEND
 
 from test_core import line_system
@@ -312,6 +312,19 @@ def weights_doc(num, den):
     return {"graph": {"n": 2, "edges": [[1, 2]]}, "weights": [weight]}
 
 
+def triangle_weights(second_edge):
+    """{1,2} and {2,3} weigh 1; [1,3] weighs 5, then `second_edge` weighs 1."""
+    weights = [
+        {"edge": e, "num": num, "den": "1"}
+        for e, num in [([1, 2], "1"), ([2, 3], "1"), ([1, 3], "5"), (second_edge, "1")]
+    ]
+    return {"graph": {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}, "weights": weights}
+
+
+def resume_doc(second_pair):
+    return {"n": 4, "entries": [{"pair": [1, 3], "via": 2}, {"pair": second_pair, "via": 4}]}
+
+
 def run_bad_input(capsys, *argv):
     with pytest.raises(SystemExit) as e:
         main(list(argv))
@@ -352,6 +365,10 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         (("vc", "dim"), {"n": 3, "sets": [[True]]}, "vertex True not in 1..3"),
         (("vc", "dim"), {"n": -3, "sets": []}, "vertex count -3 is not"),
         (("vc", "dim"), {"n": 3, "sets": [[4]]}, "vertex 4 not in 1..3"),
+        (("induce",), triangle_weights([3, 1]), "two different weights on edge (1, 3)"),
+        (("induce",), triangle_weights([1, 3]), "two different weights on edge (1, 3)"),
+        (("resume", "recover"), resume_doc([3, 1]), "two different résumé values for pair (1, 3)"),
+        (("resume", "recover"), resume_doc([1, 3]), "two different résumé values for pair (1, 3)"),
     ],
     ids=[
         "missing_file",
@@ -376,6 +393,10 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         "bool_vc_element",
         "negative_n_vc",
         "out_of_range_vc_element",
+        "conflicting_weights_reversed",
+        "conflicting_weights_same_orientation",
+        "conflicting_resume_reversed",
+        "conflicting_resume_same_orientation",
     ],
 )
 def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
@@ -383,6 +404,22 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
     err = run_bad_input(capsys, *argv, str(path))
     assert err.startswith(f"error: {path}: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_induce_disconnected_exit_2(capsys, tmp_path):
+    doc = {**weights_doc("1", "1"), "graph": {"n": 3, "edges": [[1, 2]]}}
+    path = write(tmp_path, "w.json", doc)
+    assert main(["induce", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: weight function's graph is disconnected\n"
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_induce_without_pairs(capsys, tmp_path, n):
+    path = write(tmp_path, "w.json", {"graph": {"n": n, "edges": []}, "weights": []})
+    code, out = run(capsys, "induce", path)
+    assert code == 0
+    assert json.loads(out) == {"unique": True, "system": {"n": n, "paths": []}}
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,8 @@ from pathsystems.core import (
 )
 from pathsystems.counting import enumerate_consistent
 
+from oracles import graph_diameter
+
 
 def line_system(n):
     paths = [tuple(range(a, b + 1)) for a, b in all_pairs(n)]
@@ -180,9 +182,9 @@ def test_graph_basics():
     g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     assert g.has_edge(2, 1)
     assert g.neighbors(1) == {2, 4}
-    assert g.diameter() == 2
+    assert graph_diameter(g) == 2
     assert sorted(g.non_edges()) == [(1, 3), (2, 4)]
-    assert Graph(2, []).diameter() is None
+    assert graph_diameter(Graph(2, [])) is None
 
 
 def test_intersection_empty_and_vertex():
@@ -294,6 +296,14 @@ def test_all_resumes_and_roundtrip():
 def test_resume_rejects_endpoint_value():
     with pytest.raises(ValueError):
         Resume(3, (((1, 2), 1),))
+
+
+@pytest.mark.parametrize("second", [(3, 1), (1, 3)], ids=["reversed", "same_orientation"])
+def test_resume_refuses_conflicting_duplicates(second):
+    with pytest.raises(ValueError, match=r"two different résumé values for pair \(1, 3\)"):
+        Resume(4, (((1, 3), 2), (second, 4)))
+    # The same value twice is one entry.
+    assert Resume(4, (((1, 3), 2), (second, 2))).entries == (((1, 3), 2),)
 
 
 def test_recover_cyclic_dependency_errors():

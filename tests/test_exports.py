@@ -29,3 +29,31 @@ def test_package_imports_are_listed_in_all():
             if public is not None:
                 unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
     assert unlisted == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(
+    [*(ROOT / "src" / "pathsystems").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+)
+
+
+def unused_imports(tree):
+    """Names the module imports but never reads (no lint tool is a dependency)."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+# The package's __init__ imports to re-export, so it is not checked.
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p != ROOT / "src" / "pathsystems" / "__init__.py"],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_every_import_is_used(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []

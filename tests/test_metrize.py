@@ -160,6 +160,22 @@ def test_weight_function_validation():
         WeightFunction(g, {(1, 2): 1})
 
 
+@pytest.mark.parametrize("second", [(3, 2), (2, 3)], ids=["reversed", "same_orientation"])
+def test_weight_function_refuses_conflicting_duplicates(second):
+    g = Graph(3, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=r"two different weights on edge \(2, 3\)"):
+        WeightFunction(g, [((1, 2), 1), ((2, 3), 5), (second, 1)])
+    # The same weight twice is one weight.
+    w = WeightFunction(g, [((1, 2), 1), ((2, 3), 5), (second, Q(10, 2))])
+    assert w.w == {(1, 2): 1, (2, 3): 5}
+
+
+def test_induce_refuses_disconnected_graph():
+    w = WeightFunction(Graph(3, [(1, 2)]), {(1, 2): 1})
+    with pytest.raises(ValueError, match="^weight function's graph is disconnected$"):
+        induce_system(w)
+
+
 def test_is_realizable_yes():
     ts = TripleSet(3, frozenset({(2, 3, 1)}))
     res = is_realizable(ts)

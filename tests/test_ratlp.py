@@ -7,7 +7,6 @@ import textwrap
 from pathlib import Path
 from unittest import mock
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import FractionTableau, maximize_two_phase

@@ -13,7 +13,6 @@ from pathsystems.vc import (
     compatible_vertices,
     extension_base,
     family_of_system,
-    is_intersection_closed,
     is_maximum_class,
     sample_lm,
     sauer_bound,
@@ -21,6 +20,7 @@ from pathsystems.vc import (
     vc_dim,
 )
 
+from oracles import is_intersection_closed
 from test_core import line_system
 
 
@@ -118,15 +118,6 @@ def test_build_maximum_class_no_extension_error():
     path = SimplicialComplex(4, 1, frozenset({frozenset({1, 2}), frozenset({2, 3})}))
     with pytest.raises(NoCompatibleExtension):
         build_maximum_class(path)
-
-
-def test_distinct_choosers_distinct_families():
-    y = SimplicialComplex(
-        4, 1, frozenset({frozenset(e) for e in [(1, 2), (2, 3), (3, 4), (1, 4)]})
-    )
-    smallest = build_maximum_class(y)
-    largest = build_maximum_class(y, chooser=lambda s, cands: cands[-1])
-    assert smallest.sets != largest.sets
 
 
 def test_extensions_decode_to_bases():
