@@ -1,11 +1,11 @@
 """Graphs, simple paths, path systems, résumés and pointed triples.
 
 Vertices are 1-based integers 1..n.  A path system designates exactly one
-simple path per unordered vertex pair; consistency means every path is
-the concatenation of the member paths through any of its interior
-vertices, so any two paths meet in at most a vertex or in a shared
-sub-path that is itself a member of the system.  A résumé losslessly encodes a consistent system by
-recording, for each non-edge pair, one interior vertex of its path.
+simple path per unordered vertex pair; consistency means the sub-path of
+every path between two of its vertices is the member path of that pair,
+so any two paths meet in at most a vertex or in a shared member path.  A
+résumé losslessly encodes a consistent system by recording, for each
+non-edge pair, one interior vertex of its path.
 """
 
 from __future__ import annotations
@@ -260,6 +260,13 @@ class Consistency:
         return self.ok
 
 
+def _subpath(p, a, b):
+    """The sub-path of p between two of its vertices, canonically oriented."""
+    i, j = sorted((p.index(a), p.index(b)))
+    sub = p[i : j + 1]
+    return sub if sub[0] < sub[-1] else sub[::-1]
+
+
 def _concat(p, q, via):
     """Concatenate two paths sharing endpoint `via`; None if not simple."""
     if p[-1] != via:
@@ -277,17 +284,17 @@ def _concat(p, q, via):
 def is_consistent(sys):
     """Decide consistency of a path system.
 
-    The system is consistent when every path P_{u,v} equals the
-    concatenation P_{u,a} P_{a,v} at each of its interior vertices a.  This
-    makes the paths closed under intersection: the two extreme common
-    vertices a, b of two paths span P_{a,b} in both of them.  Pairs are
-    walked in sorted order, so the reported violation does not depend on
-    the order in which the paths were given.
+    The system is consistent when, at each interior vertex a of every path
+    P_{u,v}, the paths P_{u,a} and P_{a,v} are its sub-paths on either side
+    of a, that is, P_{u,v} is the concatenation P_{u,a} P_{a,v}.  Then every
+    sub-path of a member path is a member path, so the paths are closed
+    under intersection.  Pairs are walked in sorted order, so the reported
+    violation does not depend on the order in which the paths were given.
     """
     for u, v in sorted(sys.paths):
         p = sys.paths[(u, v)]
         for a in path_interior(p):
-            if _concat(sys.path(u, a), sys.path(a, v), a) != p:
+            if sys.path(u, a) != _subpath(p, u, a) or sys.path(a, v) != _subpath(p, a, v):
                 return Consistency(False, (u, v), pair(u, a), "concatenation check failed")
     return Consistency(True)
 

@@ -19,6 +19,7 @@ from math import comb
 from .core import (
     PathSystem,
     Resume,
+    _subpath,
     all_pairs,
     all_resumes,
     is_consistent,
@@ -61,19 +62,13 @@ def _simple_paths(u, v, n):
     return result
 
 
-def _subpath(p, a, b):
-    """The sub-path of p between two of its vertices, canonically oriented."""
-    i, j = sorted((p.index(a), p.index(b)))
-    sub = p[i : j + 1]
-    return sub if sub[0] < sub[-1] else sub[::-1]
-
-
 def enumerate_consistent(n):
     """All consistent path systems on [n] by pruned backtracking.
 
     Pairs are assigned lexicographically, candidate paths shortest first.
     In a consistent system the sub-path of a member path between any two
-    of its vertices is the member path of that pair.  A candidate is cut
+    of its vertices is the member path of that pair, the rule
+    `is_consistent` checks with the same `_subpath`.  A candidate is cut
     when one of its sub-paths differs from a path already placed, or when
     a path already placed runs through both of its endpoints with a
     different sub-path between them.  Each complete system is still

@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .core import Graph, PathSystem, all_pairs, pair
+from .core import Graph, PathSystem, pair
 from .metrize import WeightFunction, induce_system
 from .rational import Q, ensure
 
@@ -60,11 +60,17 @@ def _noise(rng):
     return Q(rng.randrange(NOISE_MAX + 1), NOISE_DEN)
 
 
-def gen_gnp(n, p, seed):
-    """Erdos-Renyi graph: each pair is an edge independently with probability p."""
+def _sample_subsets(n, size, p, seed):
+    """The `size`-subsets of [n] in lexicographic order, each kept with
+    probability p by one draw from the stream of random.Random(seed)."""
     rng = random.Random(seed)
-    edges = [e for e in all_pairs(n) if _bernoulli(rng, p)]
-    return Graph(n, edges)
+    return [s for s in itertools.combinations(range(1, n + 1), size) if _bernoulli(rng, p)]
+
+
+def gen_gnp(n, p, seed):
+    """Erdos-Renyi G(n, p): each pair is an edge independently with probability
+    p, drawn by `_sample_subsets`, the sampler `vc.sample_lm` shares."""
+    return Graph(n, _sample_subsets(n, 2, p, seed))
 
 
 def enumerate_diam2(g):
@@ -255,29 +261,28 @@ class MonotoneMatrix:
 
     Entry (i, j), i != j, is the index k of the midpoint y_k on the path
     between x_i and x_j.  Rows are non-decreasing when the diagonal entry
-    is skipped; the diagonal itself is unused.
+    is skipped.  The diagonal is unused and stored as None, whatever was
+    given there, so two matrices that differ only there are equal.
     """
 
     n: int
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = [tuple(r) for r in self.rows]
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise ValueError("matrix must be n x n")
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                v = rows[i][j]
-                if not (isinstance(v, int) and 1 <= v <= self.n):
+        rows = tuple(r[:i] + (None,) + r[i + 1 :] for i, r in enumerate(rows))
+        object.__setattr__(self, "rows", rows)
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if i != j and not (isinstance(v, int) and 1 <= v <= self.n):
                     raise ValueError(f"entry ({i+1},{j+1}) out of range 1..{self.n}")
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("matrix must be symmetric")
-        for i in range(self.n):
-            off = [rows[i][j] for j in range(self.n) if j != i]
-            if any(off[k] > off[k + 1] for k in range(len(off) - 1)):
+        if rows != tuple(zip(*rows)):
+            raise ValueError("matrix must be symmetric")
+        for i, row in enumerate(rows):
+            off = row[:i] + row[i + 1 :]
+            if any(a > b for a, b in zip(off, off[1:])):
                 raise ValueError(f"row {i+1} is not non-decreasing off the diagonal")
 
     def midpoint(self, i, j):
@@ -296,42 +301,30 @@ def monotone_system(m):
 
 
 def enumerate_monotone(n):
-    """All monotone midpoint matrices for J_n, lexicographic in the upper triangle."""
+    """All monotone midpoint matrices for J_n, lexicographic in the upper triangle.
+
+    The upper triangle is filled row by row, so the entries before (i, j)
+    in row i and before (j, i) in row j are already set; rows are
+    non-decreasing, so the last of each bounds the entry from below.
+    """
     if n < 0:
         raise ValueError(f"n={n} is negative")
     if n > 6:
         raise ValueError(f"n={n} exceeds the enumeration cap 6")
-    cells = [(i, j) for i in range(n) for j in range(i + 1, n) ]
-
-    def predecessors(i, j, grid):
-        """Largest earlier off-diagonal entries in row i and row j."""
-        lo = 1
-        for jj in range(j - 1, -1, -1):
-            if jj != i and grid[i][jj] is not None:
-                lo = max(lo, grid[i][jj])
-                break
-        for ii in range(i - 1, -1, -1):
-            if ii != j and grid[ii][j] is not None:
-                lo = max(lo, grid[ii][j])
-                break
-        return lo
-
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     grid = [[None] * n for _ in range(n)]
 
     def fill(ix):
         if ix == len(cells):
-            # Diagonal entries are unused; store a placeholder respecting range.
-            rows = tuple(
-                tuple(grid[i][j] if i != j else 1 for j in range(n)) for i in range(n)
-            )
-            yield MonotoneMatrix(n, rows)
+            yield MonotoneMatrix(n, grid)
             return
         i, j = cells[ix]
-        for v in range(predecessors(i, j, grid), n + 1):
-            grid[i][j] = v
-            grid[j][i] = v
+        if i:
+            lo = max(grid[i][j - 1 if j - 1 != i else i - 1], grid[j][i - 1])
+        else:
+            lo = grid[0][j - 1] if j > 1 else 1
+        for v in range(lo, n + 1):
+            grid[i][j] = grid[j][i] = v
             yield from fill(ix + 1)
-        grid[i][j] = None
-        grid[j][i] = None
 
     yield from fill(0)

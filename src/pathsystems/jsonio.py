@@ -164,10 +164,7 @@ def weights_from_json(doc):
 
 
 def monotone_to_json(m):
-    rows = [
-        [None if i == j else m.rows[i][j] for j in range(m.n)] for i in range(m.n)
-    ]
-    return {"n": m.n, "rows": rows}
+    return {"n": m.n, "rows": [list(r) for r in m.rows]}
 
 
 def setsystem_to_json(f):

@@ -200,19 +200,26 @@ class WeightFunction:
 
 
 class WitnessAlpha(dict):
-    """Non-negative coefficients on pointed triples (finite support)."""
+    """Non-negative coefficients on pointed triples (finite support).
+
+    Two different coefficients for one canonical triple are refused, a
+    zero among them; zeros are not stored.
+    """
 
     def __init__(self, items=()):
         super().__init__()
+        given = {}
         source = items.items() if isinstance(items, dict) else items
         for t, v in source:
             v = Q(v)
             if v < 0:
                 raise ValueError("witness coefficients must be non-negative")
+            key = pointed_triple(*t)
+            if given.setdefault(key, v) != v:
+                raise ValueError(f"two different coefficients for triple {key}")
             if v:
                 # A canonical triple is kept as given, so the witnesses of
                 # `is_realizable` share the triples of `_delta_table`.
-                key = pointed_triple(*t)
                 self[t if t == key else key] = v
 
 

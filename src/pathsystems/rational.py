@@ -19,6 +19,14 @@ the checks also run under `python -O`, which strips `assert`.
 from fractions import Fraction
 from math import lcm
 
+__all__ = [
+    "Q",
+    "VerificationError",
+    "parse_rational",
+    "rational_to_json",
+    "rational_to_text",
+]
+
 try:
     from gmpy2 import mpq as Q
 

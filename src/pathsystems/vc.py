@@ -9,12 +9,11 @@ extension per missing top face.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from math import comb
 
 from .core import _check_n, _check_vertex, require_consistent
-from .generators import _bernoulli, gen_gnp
+from .generators import _sample_subsets
 from .rational import ensure
 
 __all__ = [
@@ -140,23 +139,14 @@ def is_maximum_class(family, d):
 def sample_lm(n, k, p, seed):
     """A Linial-Meshulam complex Y_k(n, p).
 
-    Each (k+1)-subset is kept independently with probability p, drawn in
-    lexicographic order from the stream of random.Random(seed); for k = 1
-    this reproduces the G(n, p) generator's edge set exactly.
+    Each (k+1)-subset is kept independently with probability p by
+    `generators._sample_subsets`, the sampler of `gen_gnp`; for k = 1 the
+    faces are the G(n, p) edges of the same seed.
     """
     if k < 0:
         raise ValueError(f"dimension k={k} is negative")
-    rng = random.Random(seed)
-    faces = [
-        frozenset(s)
-        for s in itertools.combinations(range(1, n + 1), k + 1)
-        if _bernoulli(rng, p)
-    ]
-    y = SimplicialComplex(n, k, frozenset(faces))
-    if k == 1:
-        edges = {tuple(sorted(f)) for f in y.faces}
-        ensure(edges == gen_gnp(n, p, seed).edges, "1-faces are the G(n, p) edges")
-    return y
+    faces = frozenset(frozenset(s) for s in _sample_subsets(n, k + 1, p, seed))
+    return SimplicialComplex(n, k, faces)
 
 
 class NoCompatibleExtension(ValueError):

@@ -16,14 +16,16 @@ duality.  `graph_diameter` measures a graph by breadth-first search, apart
 from the Floyd-Warshall table of `pathsystems.metrize.induce_system`, which
 decides connectivity there.  `is_intersection_closed` checks every pair of
 sets of a family, the closure property of the families of consistent
-systems.
+systems.  `is_consistent_by_concatenation` decides consistency by joining
+P_{u,a} and P_{a,v} at each interior vertex a of P_{u,v}, where
+`pathsystems.core.is_consistent` compares them with sub-paths of P_{u,v}.
 """
 
 import itertools
 import time
 from collections import deque
 
-from pathsystems.core import TripleSet, all_pairs
+from pathsystems.core import Consistency, TripleSet, all_pairs, pair
 from pathsystems.metrize import SearchOutcome, _delta_table, is_realizable, triple_signature
 from pathsystems.ratlp import LinearSystem, OptimizeResult, solve_feasibility
 from pathsystems.rational import ONE, Q, ZERO, ensure
@@ -131,6 +133,23 @@ def graph_diameter(g):
 def is_intersection_closed(family):
     """Every pairwise intersection of the family's sets belongs to it."""
     return all(a & b in family.sets for a, b in itertools.combinations(family.sets, 2))
+
+
+def is_consistent_by_concatenation(sys):
+    """The `Consistency` of `is_consistent`, decided by concatenation: each
+    P_{u,v} (u < v, walked from u) must equal P_{u,a} joined to P_{a,v} at
+    each interior vertex a, pairs and vertices visited in the same order."""
+    for u, v in sorted(sys.paths):
+        p = sys.paths[(u, v)]
+        for a in p[1:-1]:
+            left, right = sys.path(u, a), sys.path(a, v)
+            if left[0] != u:
+                left = left[::-1]
+            if right[0] != a:
+                right = right[::-1]
+            if left + right[1:] != p:
+                return Consistency(False, (u, v), pair(u, a), "concatenation check failed")
+    return Consistency(True)
 
 
 def closure_per_triple(S):

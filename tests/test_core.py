@@ -26,7 +26,7 @@ from pathsystems.core import (
 )
 from pathsystems.counting import enumerate_consistent
 
-from oracles import graph_diameter
+from oracles import graph_diameter, is_consistent_by_concatenation
 
 
 def line_system(n):
@@ -263,6 +263,26 @@ def test_enumerate_consistent_matches_brute_force(n):
 @given(st.one_of(perturbed_consistent_4(), random_systems()))
 def test_consistency_matches_pairwise_oracle(sys):
     _check_against_oracle(sys)
+
+
+CONSISTENT = {4: CONSISTENT_4, 5: list(enumerate_consistent(5))}
+
+
+@st.composite
+def perturbed_consistent(draw):
+    """A consistent system of [4] or [5] with up to two paths redrawn."""
+    n = draw(st.sampled_from(sorted(CONSISTENT)))
+    paths = dict(draw(st.sampled_from(CONSISTENT[n])).paths)
+    for key in draw(st.lists(st.sampled_from(sorted(paths)), max_size=2)):
+        paths[key] = draw(simple_paths(n, *key))
+    return PathSystem(n, paths)
+
+
+@given(st.one_of(perturbed_consistent(), random_systems()))
+def test_consistency_matches_concatenation_oracle(sys):
+    # The sub-path rule and the concatenation rule give the same verdict,
+    # violating pairs and reason.
+    assert is_consistent(sys) == is_consistent_by_concatenation(sys)
 
 
 @given(random_systems(), st.randoms(use_true_random=False))

@@ -20,10 +20,17 @@ from pathsystems.generators import (
     monotone_system,
     perfect_matching,
 )
+from pathsystems.jsonio import monotone_to_json
 from pathsystems.metrize import induce_system, is_strictly_metric
 from pathsystems.rational import Q
 
 from oracles import graph_diameter
+
+
+def test_gen_gnp_edges_pinned():
+    assert sorted(gen_gnp(6, Q(1, 2), 7).edges) == [
+        (1, 3), (1, 5), (1, 6), (2, 3), (2, 5), (2, 6), (3, 4), (3, 5), (4, 6), (5, 6)
+    ]
 
 
 def test_gen_gnp_deterministic_and_extremes():
@@ -150,10 +157,22 @@ def test_monotone_matrix_validation():
         MonotoneMatrix(3, ((1, 1, 2), (2, 1, 3), (2, 3, 1)))  # not symmetric
 
 
+def test_monotone_matrix_diagonal_is_unused():
+    given = MonotoneMatrix(3, ((3, 1, 2), (1, 0, 3), (2, 3, "x")))
+    blank = MonotoneMatrix(3, ((None, 1, 2), (1, None, 3), (2, 3, None)))
+    assert given == blank and hash(given) == hash(blank)
+    assert monotone_to_json(given) == {
+        "n": 3,
+        "rows": [[None, 1, 2], [1, None, 3], [2, 3, None]],
+    }
+    assert all(m.rows[i][i] is None for m in enumerate_monotone(3) for i in range(3))
+
+
 def test_enumerate_monotone_counts():
     assert sum(1 for _ in enumerate_monotone(2)) == 2
     assert sum(1 for _ in enumerate_monotone(3)) == 10
     assert sum(1 for _ in enumerate_monotone(4)) == 112
+    assert sum(1 for _ in enumerate_monotone(5)) == 2772
     with pytest.raises(ValueError):
         next(enumerate_monotone(7))
 

@@ -203,6 +203,34 @@ def test_witness_alpha_rejects_negative():
         WitnessAlpha([((1, 2, 3), Q(-1))])
 
 
+@pytest.mark.parametrize("second", [(2, 1, 3), (1, 2, 3)], ids=["reversed", "same_orientation"])
+@pytest.mark.parametrize("first, then", [(1, 2), (1, 0), (0, 1)], ids=["1-2", "1-0", "0-1"])
+def test_witness_alpha_refuses_conflicting_duplicates(second, first, then):
+    with pytest.raises(ValueError, match=r"two different coefficients for triple \(1, 2, 3\)"):
+        WitnessAlpha([((1, 2, 3), first), ((1, 4, 2), 1), (second, then)])
+    # The same coefficient twice is one coefficient, and zeros are not kept.
+    alpha = WitnessAlpha([((1, 2, 3), first), ((1, 4, 2), 0), (second, Q(2 * first, 2))])
+    assert alpha == ({(1, 2, 3): first} if first else {})
+
+
+def _witness_doc(*entries):
+    return {
+        "alpha": [
+            {"triple": {"pair": [a, b], "point": c}, "num": str(v), "den": "1"}
+            for (a, b, c), v in entries
+        ]
+    }
+
+
+@pytest.mark.parametrize("second", [(2, 1, 3), (1, 2, 3)], ids=["reversed", "same_orientation"])
+@pytest.mark.parametrize("first, then", [(1, 2), (1, 0)], ids=["1-2", "1-0"])
+def test_witness_loader_refuses_conflicting_duplicates(second, first, then):
+    doc = _witness_doc(((1, 2, 3), first), (second, then))
+    with pytest.raises(ValueError, match=r"two different coefficients for triple \(1, 2, 3\)"):
+        jsonio.witness_from_json(doc)
+    assert jsonio.witness_from_json(_witness_doc(((1, 2, 3), 1), (second, 1))) == {(1, 2, 3): 1}
+
+
 def test_closure_contains_and_idempotent():
     ts = TripleSet(4, frozenset({(1, 3, 2), (1, 4, 3)}))
     cl = closure(ts)

@@ -4,6 +4,7 @@ import pytest
 
 from pathsystems.core import PathSystem
 from pathsystems.counting import enumerate_consistent
+from pathsystems.generators import gen_gnp
 from pathsystems.rational import Q
 from pathsystems.vc import (
     NoCompatibleExtension,
@@ -78,6 +79,14 @@ def test_sample_lm_extremes_and_determinism():
     b = sample_lm(7, 2, Q(1, 2), 3)
     assert a.faces == b.faces
     assert all(len(f) == 3 for f in a.faces)
+
+
+@pytest.mark.parametrize("p", [0, Q(1, 3), Q(1, 2), 1])
+def test_sample_lm_edges_are_gen_gnp(p):
+    for n in range(9):
+        for seed in range(4):
+            edges = {tuple(sorted(f)) for f in sample_lm(n, 1, p, seed).faces}
+            assert edges == gen_gnp(n, p, seed).edges
 
 
 def test_sample_lm_refuses_negative_dimension():
