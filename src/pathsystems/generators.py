@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .core import Graph, PathSystem, pair
@@ -101,10 +102,10 @@ class MatchingError(ValueError):
 def perfect_matching(g, seed=0):
     """A perfect matching, or a loud failure.
 
-    Greedy seeded pairing first; if vertices remain, falls back to an
-    exhaustive maximum-cardinality search (networkx blossom algorithm,
-    from the optional `matching` extra).
-    Returns edges (x_i, y_i) with x_i < y_i, sorted by x_i.
+    Greedy seeded pairing first; then Edmonds' blossom search grows an
+    augmenting path from each vertex the greedy pass left exposed, in
+    increasing order, so the result is exact and depends only on g and
+    the seed.  Returns edges (x_i, y_i) with x_i < y_i, sorted by x_i.
     """
     if g.n % 2:
         raise MatchingError("odd number of vertices")
@@ -120,26 +121,74 @@ def perfect_matching(g, seed=0):
                 matched[v] = u
                 matched[u] = v
                 break
-    if len(matched) < g.n:
-        try:
-            import networkx as nx
-        except ImportError as e:
-            raise MatchingError(
-                "greedy pairing left vertices unmatched and the exhaustive "
-                "fallback needs networkx: pip install 'pathsystems[matching]'"
-            ) from e
-
-        gn = nx.Graph()
-        gn.add_nodes_from(range(1, g.n + 1))
-        gn.add_edges_from(sorted(g.edges))
-        mate = nx.max_weight_matching(gn, maxcardinality=True)
-        if 2 * len(mate) < g.n:
+    for v in range(1, g.n + 1):
+        if v not in matched and not _augment(g, matched, v):
             raise MatchingError("graph has no perfect matching")
-        matched = {}
-        for u, v in mate:
-            matched[u] = v
-            matched[v] = u
     return sorted(pair(v, matched[v]) for v in matched if v < matched[v])
+
+
+def _augment(g, mate, root):
+    """Edmonds' blossom search from the exposed vertex `root`.
+
+    Grows an alternating tree from root breadth first, visiting neighbours
+    in sorted order, and contracts each odd cycle it closes (a blossom)
+    onto its base.  On reaching an exposed vertex it flips that augmenting
+    path in `mate` and returns True.  False means no augmenting path
+    starts at root, so some maximum matching leaves root exposed
+    (J. Edmonds, Paths, trees, and flowers, Canad. J. Math. 17, 1965).
+    """
+    base = {v: v for v in range(1, g.n + 1)}
+    parent = {}  # inner vertex -> the outer vertex that reached it
+    outer = {root}
+    queue = deque([root])
+
+    def common_base(a, b):
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if a == root:
+                break
+            a = parent[mate[a]]
+        while base[b] not in seen:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v, b, child, blossom):
+        while base[v] != b:
+            blossom |= {base[v], base[mate[v]]}
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    while queue:
+        v = queue.popleft()
+        for u in sorted(g.neighbors(v)):
+            if base[u] == base[v] or mate.get(v) == u:
+                continue
+            if u == root or (u in mate and mate[u] in parent):
+                b = common_base(v, u)
+                blossom = set()
+                mark(v, b, u, blossom)
+                mark(u, b, v, blossom)
+                for w in base:
+                    if base[w] in blossom:
+                        base[w] = b
+                        if w not in outer:
+                            outer.add(w)
+                            queue.append(w)
+            elif u not in parent:
+                parent[u] = v
+                if u not in mate:
+                    while u is not None:
+                        v = parent[u]
+                        nxt = mate.get(v)
+                        mate[u], mate[v] = v, u
+                        u = nxt
+                    return True
+                outer.add(mate[u])
+                queue.append(mate[u])
+    return False
 
 
 def admissible_pairs(g, matching):

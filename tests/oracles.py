@@ -19,14 +19,20 @@ sets of a family, the closure property of the families of consistent
 systems.  `is_consistent_by_concatenation` decides consistency by joining
 P_{u,a} and P_{a,v} at each interior vertex a of P_{u,v}, where
 `pathsystems.core.is_consistent` compares them with sub-paths of P_{u,v}.
+`has_perfect_matching` tries every pairing of the smallest unmatched
+vertex, apart from the greedy pass and Edmonds' augmentation of
+`pathsystems.generators.perfect_matching`.  `induce_by_enumeration` finds
+each pair's geodesics among all its simple paths, apart from the
+Floyd-Warshall distances and predecessor counts of
+`pathsystems.metrize.induce_system`.
 """
 
 import itertools
 import time
 from collections import deque
 
-from pathsystems.core import Consistency, TripleSet, all_pairs, pair
-from pathsystems.metrize import SearchOutcome, _delta_table, is_realizable, triple_signature
+from pathsystems.core import Consistency, PathSystem, TripleSet, all_pairs, pair
+from pathsystems.metrize import InduceResult, SearchOutcome, _delta_table, is_realizable, triple_signature
 from pathsystems.ratlp import LinearSystem, OptimizeResult, solve_feasibility
 from pathsystems.rational import ONE, Q, ZERO, ensure
 
@@ -128,6 +134,50 @@ def graph_diameter(g):
             return None
         worst = max(worst, max(dist.values()))
     return worst
+
+
+def has_perfect_matching(g):
+    """Does the `Graph` have a perfect matching?  Brute force: the smallest
+    unmatched vertex tries each unmatched neighbour (meant for n <= 10)."""
+
+    def match(free):
+        if not free:
+            return True
+        v = min(free)
+        return any(match(free - {v, u}) for u in g.neighbors(v) & free)
+
+    return match(frozenset(range(1, g.n + 1)))
+
+
+def induce_by_enumeration(w):
+    """The `InduceResult` of `induce_system`, by enumerating simple paths.
+
+    For each pair u < v in lexicographic order, every simple u-v path is
+    weighed; the lightest is P_uv when it is the only one of least weight,
+    and otherwise (u, v) is the first tied pair, with the number of
+    lightest paths as its tie count.  Meant for n <= 6, on connected graphs.
+    """
+    g = w.graph
+
+    def simple_paths(path, target):
+        if path[-1] == target:
+            yield path
+            return
+        for z in g.neighbors(path[-1]):
+            if z not in path:
+                yield from simple_paths(path + (z,), target)
+
+    paths = {}
+    for u, v in all_pairs(g.n):
+        weighed = [
+            (sum(w.w[pair(a, b)] for a, b in zip(p, p[1:])), p) for p in simple_paths((u,), v)
+        ]
+        least = min(weight for weight, _ in weighed)
+        lightest = [p for weight, p in weighed if weight == least]
+        if len(lightest) != 1:
+            return InduceResult(False, tied_pair=(u, v), tie_count=len(lightest))
+        paths[(u, v)] = lightest[0]
+    return InduceResult(True, system=PathSystem(g.n, paths))
 
 
 def is_intersection_closed(family):

@@ -1,10 +1,14 @@
+import hashlib
+import json
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathsystems import generators
-from pathsystems.core import Graph, is_consistent, is_neighborly
+from pathsystems.cli import main
+from pathsystems.core import Graph, all_pairs, is_consistent, is_neighborly
 from pathsystems.counting import count_d2
 from pathsystems.generators import (
     MatchingError,
@@ -20,11 +24,11 @@ from pathsystems.generators import (
     monotone_system,
     perfect_matching,
 )
-from pathsystems.jsonio import monotone_to_json
+from pathsystems.jsonio import graph_from_json, monotone_to_json
 from pathsystems.metrize import induce_system, is_strictly_metric
 from pathsystems.rational import Q
 
-from oracles import graph_diameter
+from oracles import graph_diameter, has_perfect_matching
 
 
 def test_gen_gnp_edges_pinned():
@@ -69,14 +73,61 @@ def test_perfect_matching():
         perfect_matching(Graph(4, [(1, 2), (1, 3), (1, 4)]), seed=0)
 
 
-def test_perfect_matching_fallback_without_networkx(monkeypatch):
+def assert_perfect_matching(g, matching):
+    covered = [v for e in matching for v in e]
+    assert sorted(covered) == list(range(1, g.n + 1))
+    assert all(u < v and g.has_edge(u, v) for u, v in matching)
+    assert matching == sorted(matching)
+
+
+def test_perfect_matching_without_networkx(monkeypatch, capsys):
     # Seed 0 visits vertex 3 first and pairs it with 2, stranding 1 and 4:
-    # only the exhaustive fallback finds the matching of the path 1-2-3-4.
-    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
-    assert perfect_matching(g, seed=0) == [(1, 2), (3, 4)]
+    # the augmenting path 1-2-3-4 finds the matching of the path.  The
+    # greedy pass strands vertices on 12 of seeds 0-19 at n = 16 and on 11
+    # at n = 32; each is completed in the library, networkx unimportable.
     monkeypatch.setitem(sys.modules, "networkx", None)
-    with pytest.raises(MatchingError, match=r"pathsystems\[matching\]"):
-        perfect_matching(g, seed=0)
+    assert perfect_matching(Graph(4, [(1, 2), (2, 3), (3, 4)]), seed=0) == [(1, 2), (3, 4)]
+    for n in (16, 32):
+        for seed in range(20):
+            assert main(["--seed", str(seed), "gen", "gnp-matching", "--n", str(n)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            matching = [tuple(e) for e in doc["matching"]]
+            assert_perfect_matching(graph_from_json(doc["graph"]), matching)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=10))
+    return Graph(n, draw(st.sets(st.sampled_from(all_pairs(n)))) if n > 1 else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.integers(min_value=0, max_value=2**32))
+def test_perfect_matching_exactly_when_one_exists(g, seed):
+    if not has_perfect_matching(g):
+        with pytest.raises(MatchingError):
+            perfect_matching(g, seed)
+    else:
+        assert_perfect_matching(g, perfect_matching(g, seed))
+
+
+# sha256 of `gen gnp-matching --n 32` before the augmentation replaced the
+# networkx fallback, for the first five seeds whose greedy pass matches
+# every vertex: on those seeds the output must not move.
+GREEDY_COMPLETE_N32 = {
+    0: "47c152f4eba580562467fdcc18b6c5d71e1d494b8c8052185a786ad5aa2f5d29",
+    2: "f4e19c9dc76643ee71f720e262de8226fe16b75ae03c1228bd0e736895505dec",
+    6: "9e439024eeb3f849d94b43a36ad3805197793096d5cf5bfa2c8f87f193d27f16",
+    7: "3d7965015408a9694d408dbdf2ac9038accb49cb15315c272b1da1365ffd1494",
+    10: "bf8f773667334191c7630888b9cb34b11e68eac5574e7de0532b8aa1e9498c1d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GREEDY_COMPLETE_N32))
+def test_gnp_matching_pinned_where_greedy_matches_everyone(seed, capsys):
+    assert main(["--seed", str(seed), "gen", "gnp-matching", "--n", "32"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GREEDY_COMPLETE_N32[seed]
 
 
 def test_admissible_pairs_conditions():

@@ -34,7 +34,7 @@ from pathsystems.metrize import (
 from pathsystems.ratlp import solve_feasibility
 from pathsystems.rational import Q
 
-from oracles import closure_per_triple, integral_witness_search_per_candidate
+from oracles import closure_per_triple, induce_by_enumeration, integral_witness_search_per_candidate
 from test_core import line_system
 
 
@@ -148,6 +148,30 @@ def test_induce_reports_ties():
     out = induce_system(w)
     assert not out.unique
     assert out.tie_count == 2 and out.tied_pair in ((1, 3), (2, 4))
+
+
+@st.composite
+def connected_weights(draw):
+    """A spanning tree of [n], n <= 6, plus any further edges, weighted.
+    Half the draws weigh every edge 1 or 2, which forces exact ties between
+    distinct paths; the others draw each weight as num/den with both in 1..20."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    edges = {(draw(st.integers(min_value=1, max_value=v - 1)), v) for v in range(2, n + 1)}
+    edges |= draw(st.sets(st.sampled_from(all_pairs(n)))) if n > 1 else set()
+    g = Graph(n, edges)
+    if draw(st.booleans()):
+        weight = st.sampled_from([Q(1), Q(2)])
+    else:
+        weight = st.builds(Q, st.integers(1, 20), st.integers(1, 20))
+    return WeightFunction(g, {e: draw(weight) for e in sorted(g.edges)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_weights())
+def test_induce_matches_path_enumeration(w):
+    # Equal results: `unique`, every path, and the first tied pair in
+    # (u, v) order with its number of geodesics.
+    assert induce_system(w) == induce_by_enumeration(w)
 
 
 def test_weight_function_validation():
