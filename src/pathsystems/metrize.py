@@ -9,8 +9,9 @@ metrizability is the realizability of the system's colinear triple set,
 decided by `is_realizable`.  Infeasibility converts, via the Farkas
 certificate, into a non-negative combination of triple vectors witnessing
 that no pseudometric has exactly the given colinear triples.  The closure
-of a triple set is reached by repeated realizability: each witness's
-support is forced into the set until the set is realizable.
+of a triple set is reached by betweenness propagation and repeated
+realizability: each propagated triple and each witness's support is
+forced into the set until the set is realizable.
 """
 
 from __future__ import annotations
@@ -93,6 +94,13 @@ def _delta_table(n):
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _triple_keys(n):
+    """Each pointed triple of [n] mapped to the equal key of `_delta_table(n)`,
+    so a computed triple is replaced by the shared one; do not mutate."""
+    return {t: t for t in _delta_table(n)}
+
+
 def _delta_sum(n, terms):
     """Sum of coeff * Delta_t over (t, coeff) terms with canonical triples t."""
     index = _triple_index(n)
@@ -123,21 +131,27 @@ def resume_signature(f):
 class Pseudometric:
     """Symmetric non-negative distance with zero diagonal, exact rationals.
 
-    `distances` is one tuple in `all_pairs(n)` order; `d` gives a new
-    {pair: distance} dict.
+    The distances are stored as one integer tuple `scaled`, in `all_pairs(n)`
+    order, over one positive denominator `scale`: the lcm of their
+    denominators, so the pair is unique.  `distances` gives them as one
+    tuple of rationals, `d` as a new {pair: distance} dict.
     """
 
-    __slots__ = ("n", "distances")
+    __slots__ = ("n", "scaled", "scale")
 
     def __init__(self, n, values):
         self.n = int(n)
+        scaled, self.scale = scaled_to_integers([Q(values[p]) for p in all_pairs(self.n)])
         # Distances repeat (a strict metric on J_4 has 28 of them but about
         # 7 distinct values); one shared object per value keeps a metric
-        # small.  Rationals are immutable, so sharing is safe.
+        # small.  Integers are immutable, so sharing is safe.
         shared = {}
-        distances = [Q(values[p]) for p in all_pairs(self.n)]
-        self.distances = tuple([shared.setdefault(v, v) for v in distances])
+        self.scaled = tuple([shared.setdefault(v, v) for v in scaled])
         self.validate()
+
+    @property
+    def distances(self):
+        return tuple([Q(v, self.scale) for v in self.scaled])
 
     @property
     def d(self):
@@ -146,27 +160,28 @@ class Pseudometric:
     def value(self, a, b):
         if a == b:
             return ZERO
-        return self.distances[_pair_index(self.n)[pair(a, b)]]
+        return Q(self.scaled[_pair_index(self.n)[pair(a, b)]], self.scale)
 
     def validate(self):
         """Non-negative distances and every triangle inequality, checked on
-        the distances scaled to integers."""
-        for p, v in zip(all_pairs(self.n), self.distances):
+        the stored integers."""
+        d = self.scaled
+        for p, v in zip(all_pairs(self.n), d):
             if v < 0:
                 raise ValueError(f"negative distance at {p}")
-        d, _ = scaled_to_integers(self.distances)
         for (a, b, c), (ac, cb, ab) in _triple_index(self.n).items():
             if d[ac] + d[cb] < d[ab]:
                 raise ValueError(f"triangle inequality fails on {{{a},{b};{c}}}")
 
     def is_metric(self):
-        return all(v > 0 for v in self.distances)
+        return all(v > 0 for v in self.scaled)
 
     def __eq__(self, other):
         return (
             isinstance(other, Pseudometric)
             and self.n == other.n
-            and self.distances == other.distances
+            and self.scale == other.scale
+            and self.scaled == other.scaled
         )
 
     def __repr__(self):
@@ -203,12 +218,14 @@ class WitnessAlpha(dict):
     """Non-negative coefficients on pointed triples (finite support).
 
     Two different coefficients for one canonical triple are refused, a
-    zero among them; zeros are not stored.
+    zero among them; zeros are not stored.  Equal coefficients share one
+    object: a witness has few distinct values.
     """
 
     def __init__(self, items=()):
         super().__init__()
         given = {}
+        shared = {}
         source = items.items() if isinstance(items, dict) else items
         for t, v in source:
             v = Q(v)
@@ -220,7 +237,7 @@ class WitnessAlpha(dict):
             if v:
                 # A canonical triple is kept as given, so the witnesses of
                 # `is_realizable` share the triples of `_delta_table`.
-                self[t if t == key else key] = v
+                self[t if t == key else key] = shared.setdefault(v, v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,8 +339,8 @@ def is_strictly_metric(sys):
 
 def triples_of_metric(rho):
     """T(rho): pointed triples where the triangle inequality is tight,
-    compared on the distances scaled to integers."""
-    d, _ = scaled_to_integers(rho.distances)
+    compared on the stored integers."""
+    d = rho.scaled
     index = _triple_index(rho.n)
     tight = [t for t, (ac, cb, ab) in index.items() if d[ac] + d[cb] == d[ab]]
     return TripleSet(rho.n, frozenset(tight))
@@ -476,7 +493,14 @@ def integral_witness_search(S, time_budget=None):
     forced since every Delta_t has coordinate sum 1.  Branch and bound in
     lexicographic triple order with exact-LP relaxation pruning at every
     node; "not_found" is an exhaustive proof, "inconclusive" means the
-    wall-clock budget (seconds) ran out.
+    wall-clock budget (seconds) ran out; the budget is first checked
+    after the closure step.
+
+    The universe is cl(S), in `_delta_table` order.  The closure's last
+    pseudometric rho is tight exactly on cl(S), and any y >= 0 with
+    sum y_u Delta_u = sum over S of Delta_s gives sum y_u (Delta_u . rho)
+    = 0, so y_u = 0 off cl(S): the candidates, the tree and every
+    completion are those over all pointed triples.
 
     Every verified LP answer is reused (Benders feasibility cuts):
 
@@ -496,8 +520,9 @@ def integral_witness_search(S, time_budget=None):
     target = triple_signature(S)
     m = len(S)
     deadline = None if time_budget is None else time.monotonic() + time_budget
+    within = closure(S).triples
     deltas = _delta_table(n)
-    universe = list(deltas)
+    universe = [t for t in deltas if t in within]
     rays = []  # (ix, ray): the ray holds over candidates[ix:]
     admitted = set()
     # A triple can appear in an integral witness only if a fractional
@@ -556,17 +581,66 @@ def integral_witness_search(S, time_budget=None):
     return SearchOutcome("not_found", nodes=nodes)
 
 
-def closure(S):
-    """Smallest realizable triple set containing S, by repeated realizability.
+def _betweenness_closure(S):
+    """S closed under betweenness transitivity; S itself when already closed.
 
-    A No from `is_realizable` carries a verified witness alpha, and every
-    pseudometric tight on the set is tight on supp(alpha), which joins it.
-    The first Yes ends the loop: its pseudometric has slack on every other
-    triple, so none is forced.
+    If c lies between a and b, and x between a and c, then x lies between
+    a and b, and c between x and b: Delta_{a,b;c} + Delta_{a,c;x} =
+    Delta_{a,b;x} + Delta_{x,b;c}, and all four are >= 0 at a pseudometric,
+    so a pseudometric tight on the left pair is tight on the right pair.
+    A worklist registers each triple in two indexes, the interior points
+    of a pair and the far endpoints of a pair, then combines it with every
+    registered triple in both roles.  Derived triples are the keys of
+    `_delta_table`.
     """
-    current = S
+    n = S.n
+    keys = _triple_keys(n)
+    triples = set(S.triples)
+    interior = {}  # (a, b), a < b -> the c with {a,b;c} in the set
+    far = {}  # (a, c) -> the b with c between a and b
+    work = list(S.triples)
+
+    def add(a, b, c):
+        t = keys[(a, b, c) if a < b else (b, a, c)]
+        if t not in triples:
+            triples.add(t)
+            work.append(t)
+
+    while work:
+        a0, b0, c = work.pop()
+        interior.setdefault((a0, b0), []).append(c)
+        far.setdefault((a0, c), []).append(b0)
+        far.setdefault((b0, c), []).append(a0)
+        for a, b in ((a0, b0), (b0, a0)):
+            # As the outer triple: c between a and b, x between a and c.
+            for x in interior.get((a, c) if a < c else (c, a), ()):
+                if x != b:
+                    add(a, b, x)
+                    add(x, b, c)
+            # As the inner triple: c between a and b, b between a and y.
+            for y in far.get((a, b), ()):
+                if y != c:
+                    add(a, y, c)
+                    add(c, y, b)
+    if len(triples) == len(S.triples):
+        return S
+    return TripleSet(n, frozenset(triples))
+
+
+def closure(S):
+    """Smallest realizable triple set containing S: betweenness
+    propagation, then repeated realizability.
+
+    Before each realizability round the set is closed under betweenness
+    transitivity (`_betweenness_closure`), which forces triples without
+    an LP.  A No from `is_realizable` carries a verified witness alpha,
+    and every pseudometric tight on the set is tight on supp(alpha), which
+    joins it.  The first Yes ends the loop: its pseudometric has slack on
+    every other triple, so none is forced.  A closed S is returned itself.
+    """
+    current = _betweenness_closure(S)
     while True:
         res = is_realizable(current)
         if res.realizable:
             return current
-        current = TripleSet(S.n, current.triples.union(res.witness))
+        current = _betweenness_closure(TripleSet(S.n, current.triples.union(res.witness)))

@@ -83,6 +83,16 @@ def test_pseudometric_d_is_the_distance_dict():
     assert not hasattr(rho, "__dict__")
 
 
+def test_pseudometric_stores_integers_over_one_denominator():
+    values = four_point_values()
+    rho = Pseudometric(4, values)
+    assert rho.scale == 7 and all(type(v) is int for v in rho.scaled)
+    assert rho.distances == tuple(values[p] for p in all_pairs(4))
+    # The lcm of the denominators is the scale, so it is unique.
+    half = Pseudometric(3, {(1, 2): Q(2, 4), (1, 3): Q(3, 6), (2, 3): 1})
+    assert (half.scaled, half.scale) == ((1, 1, 2), 2)
+
+
 def test_pseudometric_value_is_symmetric():
     rho = Pseudometric(4, four_point_values())
     for a, b in all_pairs(4):
@@ -237,6 +247,11 @@ def test_witness_alpha_refuses_conflicting_duplicates(second, first, then):
     assert alpha == ({(1, 2, 3): first} if first else {})
 
 
+def test_witness_alpha_shares_equal_coefficients():
+    alpha = WitnessAlpha([((1, 2, 3), Q(1, 2)), ((1, 4, 2), Q(2, 4)), ((2, 4, 1), 1)])
+    assert alpha[(1, 2, 3)] is alpha[(1, 4, 2)]
+
+
 def _witness_doc(*entries):
     return {
         "alpha": [
@@ -270,8 +285,8 @@ def test_closure_of_realizable_is_itself():
 
 
 @st.composite
-def triple_sets(draw):
-    n = draw(st.sampled_from((5, 6)))
+def triple_sets(draw, ns=(5, 6)):
+    n = draw(st.sampled_from(ns))
     triples = draw(st.sets(st.sampled_from(all_pointed_triples(n)), max_size=8))
     return TripleSet(n, frozenset(triples))
 
@@ -291,6 +306,16 @@ def test_closure_shares_its_triples(ts):
     assert all(id(t) in shared for t in closure(ts).triples)
 
 
+@settings(max_examples=40, deadline=None)
+@given(triple_sets(ns=(4, 5, 6)))
+def test_betweenness_step_adds_only_forced_triples(ts):
+    # Every triple the LP-free step adds is in the closure the per-triple
+    # oracle decides, and a second step adds nothing.
+    step = metrize._betweenness_closure(ts)
+    assert ts.triples <= step.triples <= closure_per_triple(ts).triples
+    assert metrize._betweenness_closure(step) is step
+
+
 def test_closure_of_golden_set_matches_oracle():
     ts, _ = golden_fixture()
     cl = closure(ts)
@@ -298,8 +323,7 @@ def test_closure_of_golden_set_matches_oracle():
     assert cl == closure_per_triple(ts)
 
 
-def test_closure_of_golden_set_solves_two_lps(monkeypatch):
-    # One No round, whose witness support closes the set, then one Yes.
+def _count_lps(monkeypatch):
     calls = []
 
     def counted(system):
@@ -307,6 +331,12 @@ def test_closure_of_golden_set_solves_two_lps(monkeypatch):
         return solve_feasibility(system)
 
     monkeypatch.setattr(metrize, "solve_feasibility", counted)
+    return calls
+
+
+def test_closure_of_golden_set_solves_two_lps(monkeypatch):
+    # One No round, whose witness support closes the set, then one Yes.
+    calls = _count_lps(monkeypatch)
     ts, _ = golden_fixture()
     closure(ts)
     assert len(calls) == 2
@@ -329,17 +359,23 @@ def test_integral_search_matches_per_candidate_oracle(ts):
 
 def test_integral_search_of_golden_set_reuses_cuts(monkeypatch):
     # One LP per triple of [8] in the pre-filter alone would be 168.
-    calls = []
-
-    def counted(system):
-        calls.append(system)
-        return solve_feasibility(system)
-
-    monkeypatch.setattr(metrize, "solve_feasibility", counted)
+    calls = _count_lps(monkeypatch)
     ts, _ = golden_fixture()
     out = integral_witness_search(ts)
     assert (out.status, out.nodes) == ("not_found", 41)
-    assert len(calls) <= 60
+    assert len(calls) == 22
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_triple_sets())
+def test_integral_search_completions_stay_in_the_closure(ts):
+    # Completion LPs (over non-negative variables) have one column per
+    # triple of their universe, which is cl(S).
+    size = len(closure(ts))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_lps(mp)
+        integral_witness_search(ts)
+    assert all(c.num_vars <= size for c in calls if c.nonnegative_vars)
 
 
 def test_integral_search_realizable_set_has_none():
@@ -363,7 +399,11 @@ def test_integral_search_found():
     assert verify_witness(ts, WitnessAlpha(counts.items()))
 
 
-def test_integral_search_budget():
+def test_integral_search_budget(monkeypatch):
+    calls = _count_lps(monkeypatch)
     ts, _ = golden_fixture()
     out = integral_witness_search(ts, time_budget=0.0)
     assert out.status == "inconclusive"
+    # The budget is checked right after the closure: only its
+    # realizability LPs run, no completion LP.
+    assert calls and not any(c.nonnegative_vars for c in calls)
