@@ -93,7 +93,10 @@ def _triple_to_json(t):
 
 def _triple_from_json(doc, offset):
     """The pointed triple {"pair": [a, b], "point": c}, shifted by `offset`."""
-    a, b, c = doc["pair"][0], doc["pair"][1], doc["point"]
+    p = doc["pair"]
+    if type(p) is not list or len(p) != 2:
+        raise ValueError(f"pair {p!r} is not a list of two vertices")
+    (a, b), c = p, doc["point"]
     # A bool plus an int offset is an int: refuse bools before the shift.
     for v in (a, b, c):
         if isinstance(v, bool):

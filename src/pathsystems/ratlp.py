@@ -4,8 +4,8 @@ Constraints are <a,x> >= rhs (inequalities) and <a,x> = rhs (equalities)
 over free variables by default; `nonnegative_vars=True` constrains every
 variable to be >= 0 natively.
 
-Every question is answered by one phase-1 simplex run with Bland's
-anti-cycling pivot rule, on a tableau chosen by the variables' sign:
+Every question is answered by one phase-1 simplex run, on a tableau
+chosen by the variables' sign:
 
 * non-negative variables: the standard form of the system itself; a
   zero optimum gives the solution, a positive one gives the certificate
@@ -23,7 +23,11 @@ int coefficients and right-hand sides as ints and turns only other
 values (Fraction/mpq, float, str) into `Q`.  The simplex is revised: it
 takes the constraint matrix as columns, which each route builds once,
 keeps them as sparse integer columns scaled by the lcm of their
-denominators, and keeps only [B^-1 | B^-1 b] over integers.
+denominators, and keeps only [B^-1 | B^-1 b] over integers.  Pricing is
+cyclic, and the leaving row comes from the lexicographic ratio test of
+Dantzig, Orden and Wolfe (1955), which rules out cycling under any
+entering rule.  The verdicts do not depend on the pivot rule; the
+solution or certificate returned may.
 
 On either route every returned witness is re-checked against all
 constraints, and every certificate is re-verified, before being
@@ -34,6 +38,7 @@ returned.  The re-checks scale the rationals to integers and raise
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 
 from .rational import Q, ZERO, ensure, scaled_to_integers
@@ -121,7 +126,7 @@ class OptimizeResult:
 
 
 # ---------------------------------------------------------------------------
-# Revised phase-1 simplex (equality standard form, Bland's rule)
+# Revised phase-1 simplex (equality standard form, lexicographic ratio test)
 # ---------------------------------------------------------------------------
 
 
@@ -158,14 +163,22 @@ class _Tableau:
     m artificial columns form the initial basis B.  Column j of A is
     stored once, sparse, multiplied by D_j, the lcm of its denominators: a
     positive column scale keeps the sign of every reduced cost and the
-    order of every ratio, so Bland's rule pivots as on the unscaled
-    tableau, and z_j is D_j times the scaled value.  Only [B^-1 | B^-1 b]
-    is kept, row i as m+1 integer numerators over one positive row
-    denominator den[i], with the cost row over the artificials and the
-    rhs, as numerators over cden.  Each step prices the columns in index
-    order with pi = cost_art - cden up to the first negative one, forms
-    B^-1 A_j, and pivots at width m+1.  Rationals are built only when the
-    optimum, the solution or the duals are read.
+    order of every lexicographic ratio, so the pivots are those of the
+    unscaled tableau, and z_j is D_j times the scaled value.  Only
+    [B^-1 | B^-1 b] is kept, row i as m+1 integer numerators over one
+    positive row denominator den[i], with the cost row over the
+    artificials and the rhs, as numerators over cden.  Each step prices
+    the columns cyclically with pi = cost_art - cden, from just after the
+    last entering column up to the first negative one, forms B^-1 A_j,
+    and pivots at width m+1.  Rationals are built only when the optimum,
+    the solution or the duals are read.
+
+    The leaving row is the lexicographic minimum of row_i / column_i over
+    [B^-1 b | B^-1].  The initial rows (b_i, e_i) are lexicographically
+    positive, and a lexicographic pivot keeps every row so, while the
+    cost row, read in the same order (-objective first), rises
+    lexicographically at each pivot, even a degenerate one.  So no basis
+    repeats, and phase 1 ends whichever improving column enters.
     """
 
     def __init__(self, cols, rhs):
@@ -203,40 +216,53 @@ class _Tableau:
         self.basis[r] = c
 
     def phase1(self):
-        """Minimize the artificial sum by Bland's rule; returns the optimum (>= 0)."""
-        m, basis = self.m, self.basis
+        """Minimize the artificial sum; returns the optimum (>= 0).
+
+        Pricing is cyclic: each scan starts just after the last entering
+        column and takes the first negative reduced cost; a full pass with
+        none is the optimum.  The leaving row is the lexicographic minimum
+        of row_i / column_i over rhs first, then B^-1, among column_i > 0.
+        """
+        m, n, T, cols = self.m, self.n, self.T, self.cols
+        order = [m, *range(m)]
+        start = 0
         while True:
             cden = self.cden
             pi = [c - cden for c in self.cost[:m]]
             enter = -1
-            for j, col in enumerate(self.cols):
+            for j in chain(range(start, n), range(start)):
                 f = 0
-                for i, a in col:
+                for i, a in cols[j]:
                     f += pi[i] * a
                 if f < 0:
                     enter = j
                     break
             if enter < 0:
                 return Q(-self.cost[m], cden)
-            col = self.cols[enter]
+            start = enter + 1
+            col = cols[enter]
             column = []
-            for row in self.T:
+            for row in T:
                 a = 0
                 for i, x in col:
                     a += row[i] * x
                 column.append(a)
-            # Minimum ratio (B^-1 b)_i / column_i over column_i > 0; the row
-            # denominators cancel, and cross-multiplying compares exactly.
+            # Rows of [B^-1 b | B^-1] over column_i > 0, compared by
+            # cross-multiplying: the row denominators cancel.  No two rows
+            # tie, since B^-1 is non-singular.
             leave = -1
             for i, a in enumerate(column):
                 if a > 0:
-                    b = self.T[i][m]
                     if leave < 0:
-                        leave, best_b, best_a = i, b, a
+                        leave, best, best_a = i, T[i], a
                         continue
-                    lhs, rhs = b * best_a, best_b * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                        leave, best_b, best_a = i, b, a
+                    row = T[i]
+                    for k in order:
+                        lhs, rhs = row[k] * best_a, best[k] * a
+                        if lhs != rhs:
+                            break
+                    if lhs < rhs:
+                        leave, best, best_a = i, row, a
             ensure(leave >= 0, "phase-1 objective is bounded below by 0")
             self.pivot(leave, enter, column, f)
 

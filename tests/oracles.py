@@ -10,11 +10,12 @@ with one LP per candidate and per node, and no cut reuse: the same tree
 as `pathsystems.metrize.integral_witness_search`, decided without its
 stored Farkas rays and solutions.  `FractionTableau` is the simplex tableau
 over rationals that the integer `pathsystems.ratlp._Tableau` replaced, with
-a phase 2; `maximize_two_phase` runs the two-phase simplex on it, a second
-way to reach the optimum that `pathsystems.ratlp.maximize` proves by LP
-duality.  `graph_diameter` measures a graph by breadth-first search, apart
-from the Floyd-Warshall table of `pathsystems.metrize.induce_system`, which
-decides connectivity there.  `is_intersection_closed` checks every pair of
+the same phase-1 pivot rule and a phase 2 by Bland's rule;
+`maximize_two_phase` runs the two-phase simplex on it, a second way to
+reach the optimum that `pathsystems.ratlp.maximize` proves by LP duality.
+`graph_diameter` measures a graph by breadth-first search, apart from the
+Floyd-Warshall table of `pathsystems.metrize.induce_system`, which decides
+connectivity there.  `is_intersection_closed` checks every pair of
 sets of a family, the closure property of the families of consistent
 systems.  `is_consistent_by_concatenation` decides consistency by joining
 P_{u,a} and P_{a,v} at each interior vertex a of P_{u,v}, where
@@ -372,7 +373,8 @@ class FractionTableau:
         self.basis[r] = c
 
     def run(self, allowed):
-        """Bland's rule over columns < allowed; returns "optimal" or "unbounded"."""
+        """Bland's rule over columns < allowed (phase 2 of `maximize_two_phase`);
+        returns "optimal" or "unbounded"."""
         T, cost = self.T, self.cost
         while True:
             enter = -1
@@ -398,10 +400,25 @@ class FractionTableau:
             self.pivot(leave, enter)
 
     def phase1(self):
-        """Minimize the artificial sum; returns the optimum (>= 0)."""
-        status = self.run(self.n)
-        assert status == "optimal"  # phase-1 objective is bounded below by 0
-        return self.objective
+        """Minimize the artificial sum; returns the optimum (>= 0).
+
+        Pricing is cyclic from just after the last entering column; the
+        leaving row minimizes the tuple of divided ratios (rhs, then the
+        artificial columns, which hold B^-1) among positive pivots.
+        """
+        T, cost, n, m = self.T, self.cost, self.n, self.m
+        order = [self.width, *range(n, n + m)]
+        start = 0
+        while True:
+            scan = [*range(start, n), *range(start)]
+            enter = next((j for j in scan if cost[j] < 0), -1)
+            if enter < 0:
+                return self.objective
+            start = enter + 1
+            rows = [i for i in range(m) if T[i][enter] > 0]
+            assert rows  # phase-1 objective is bounded below by 0
+            leave = min(rows, key=lambda i: [T[i][k] / T[i][enter] for k in order])
+            self.pivot(leave, enter)
 
     def duals(self):
         """Phase-1 dual vector y (length m), from artificial reduced costs."""

@@ -307,6 +307,11 @@ def test_verify_budget_inconclusive(capsys):
 TRIPLES_4 = {"n": 4, "triples": [{"pair": [1, 3], "point": 2}]}
 
 
+def triples_doc(pair):
+    """A triple set of [4] whose one triple has the given "pair" and point 3."""
+    return {"n": 4, "triples": [{"pair": pair, "point": 3}]}
+
+
 def weights_doc(num, den):
     weight = {"edge": [1, 2], "num": num, "den": den}
     return {"graph": {"n": 2, "edges": [[1, 2]]}, "weights": [weight]}
@@ -354,6 +359,10 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         (("resume", "recover"), {"n": -2, "entries": []}, "vertex count -2 is not"),
         (("count", "d2"), {"n": True, "edges": []}, "vertex count True is not"),
         (("closure",), {"n": 4, "triples": [{"pair": [True, 3], "point": 2}]}, "vertex True"),
+        (("closure",), triples_doc([1]), "pair [1] is not a list of two vertices"),
+        (("closure",), triples_doc([1, 2, 3]), "pair [1, 2, 3] is not a list of two vertices"),
+        (("metrize", "witness"), triples_doc([1]), "pair [1] is not a list of two vertices"),
+        (("metrize", "witness"), triples_doc([1, 2, 3]), "pair [1, 2, 3] is not a list"),
         (("closure",), {**TRIPLES_4, "label_base": True}, "label_base True is not 0 or 1"),
         (("closure",), {**TRIPLES_4, "label_base": 1.5}, "label_base 1.5 is not 0 or 1"),
         (("metrize", "witness"), {**TRIPLES_4, "label_base": 2}, "label_base 2 is not 0 or 1"),
@@ -382,6 +391,10 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         "negative_n_resume",
         "bool_n_graph",
         "bool_vertex_closure",
+        "one_vertex_pair_closure",
+        "three_vertex_pair_closure",
+        "one_vertex_pair_witness",
+        "three_vertex_pair_witness",
         "bool_label_base",
         "fractional_label_base",
         "label_base_2_witness",

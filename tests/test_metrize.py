@@ -270,6 +270,13 @@ def test_witness_loader_refuses_conflicting_duplicates(second, first, then):
     assert jsonio.witness_from_json(_witness_doc(((1, 2, 3), 1), (second, 1))) == {(1, 2, 3): 1}
 
 
+@pytest.mark.parametrize("pair", [[1], [1, 2, 3]], ids=["one_vertex", "three_vertices"])
+def test_witness_loader_refuses_a_pair_without_two_vertices(pair):
+    doc = {"alpha": [{"triple": {"pair": pair, "point": 3}, "num": "1", "den": "1"}]}
+    with pytest.raises(ValueError, match=r"is not a list of two vertices"):
+        jsonio.witness_from_json(doc)
+
+
 def test_closure_contains_and_idempotent():
     ts = TripleSet(4, frozenset({(1, 3, 2), (1, 4, 3)}))
     cl = closure(ts)

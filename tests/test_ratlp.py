@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import FractionTableau, maximize_two_phase
-from pathsystems import ratlp
+from pathsystems import metrize, ratlp
+from pathsystems.generators import enumerate_monotone, monotone_system
 from pathsystems.rational import Q
 from pathsystems.ratlp import (
     LinearSystem,
@@ -284,6 +286,78 @@ def test_column_scale_keeps_pivots_solution_and_duals():
     assert revised.basis == dense.basis
     assert revised.solution() == dense.solution()
     assert revised.duals() == dense.duals()
+
+
+def run_recorded(system):
+    """`solve_feasibility(system)` and the bases of its phase-1 run.
+
+    The recording `_Tableau` asserts after every pivot that each row of
+    [B^-1 b | B^-1], read rhs first, is lexicographically positive.
+    """
+    bases = []
+
+    class Recording(ratlp._Tableau):
+        def phase1(self):
+            bases.append(frozenset(self.basis))
+            return super().phase1()
+
+        def pivot(self, r, c, *rest):
+            super().pivot(r, c, *rest)
+            m = self.m
+            for row in self.T:
+                assert next(x for x in (row[m], *row[:m]) if x) > 0
+            bases.append(frozenset(self.basis))
+
+    with mock.patch.object(ratlp, "_Tableau", Recording):
+        return solve_feasibility(system), bases
+
+
+def assert_no_cycle_and_rechecked(system):
+    res, bases = run_recorded(system)
+    assert len(set(bases)) == len(bases)
+    if res.feasible:
+        assert ratlp._check_solution(system, res.solution)
+    else:
+        assert verify_certificate(system, res.certificate)
+
+
+# Free variables give the via-dual tableau: its right-hand side is 0 in
+# every row but the normalising one, so nearly every pivot is degenerate.
+via_dual_systems = integer_systems().map(lambda s: dataclasses.replace(s, nonnegative_vars=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(via_dual_systems)
+def test_phase1_repeats_no_basis_on_degenerate_systems(system):
+    assert_no_cycle_and_rechecked(system)
+
+
+@functools.cache
+def strict_lps_of_j4():
+    """The via-dual LP of `is_strictly_metric` on each of criterion 7's 112
+    monotone systems of J_4."""
+    systems = []
+
+    def capture(system):
+        systems.append(system)
+        return solve_feasibility(system)
+
+    with mock.patch.object(metrize, "solve_feasibility", capture):
+        for m in enumerate_monotone(4):
+            assert metrize.is_strictly_metric(monotone_system(m)).strict
+    return tuple(systems)
+
+
+def test_phase1_repeats_no_basis_on_the_strict_lps_of_j4():
+    assert len(strict_lps_of_j4()) == 112
+    for system in strict_lps_of_j4():
+        assert_no_cycle_and_rechecked(system)
+
+
+def test_strict_lps_of_j4_stay_within_their_pivot_total():
+    # Pivots over the 112 strict LPs: 15,341 under Bland's smallest-index
+    # rule, 7,283 under cyclic pricing with the lexicographic ratio test.
+    assert sum(len(run_recorded(system)[1]) - 1 for system in strict_lps_of_j4()) <= 7283
 
 
 def test_rechecks_reject_a_trillionth_on_both_routes():
