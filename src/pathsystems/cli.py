@@ -39,7 +39,7 @@ from .metrize import (
     verify_witness,
 )
 from . import __version__
-from .rational import BACKEND, parse_rational, rational_to_text
+from .rational import parse_rational, rational_to_text
 
 FIXTURES = importlib.resources.files("pathsystems") / "fixtures"
 
@@ -47,8 +47,9 @@ FIXTURES = importlib.resources.files("pathsystems") / "fixtures"
 def _read(path, loader):
     """The document in the JSON file `path`, converted by a jsonio loader.
 
-    An unreadable file, bad JSON or a malformed document ends the run with
-    the one line `error: FILE: message` on stderr and exit code 2.
+    An unreadable file, bad JSON (nesting too deep for the parser included)
+    or a malformed document ends the run with the one line
+    `error: FILE: message` on stderr and exit code 2.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -59,7 +60,7 @@ def _read(path, loader):
         message = f"{path}: {e.strerror}"
     except KeyError as e:
         message = f"{path}: missing key {e}"
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, RecursionError, TypeError, ValueError) as e:
         message = f"{path}: {e}"
     print(f"error: {message}", file=_sys.stderr)
     raise SystemExit(2)
@@ -330,9 +331,7 @@ def build_parser():
         description="Path systems on graphs: consistency, resumes, exact "
         "metrizability tests, generators, counting, and VC classes.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"pathsystems {__version__} ({BACKEND})"
-    )
+    parser.add_argument("--version", action="version", version=f"pathsystems {__version__}")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
     parser.add_argument(
         "--budget", type=float, default=None, help="wall-clock budget in seconds for long searches"

@@ -1,31 +1,20 @@
 """Exact counting: diameter-2 products, brute-force enumeration of
-consistent systems, the product formulas for boxed and symmetric plane
-partitions, an asymptotics check, and the signature-separation
-experiment on [4].
+consistent systems, and the product formulas for boxed and symmetric
+plane partitions.
 
 Products are evaluated exactly and checked to reduce to an integer;
-MacMahon's product is computed once, by `boxed_count`, and the
-asymptotics check takes its logarithm.  The independent enumeration
-oracles live in the tests.
+MacMahon's product is computed once, by `boxed_count`.  The independent
+enumeration oracles, the asymptotics check and the signature-separation
+experiment on [4] live in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
-from .core import (
-    PathSystem,
-    Resume,
-    _subpath,
-    all_pairs,
-    all_resumes,
-    is_consistent,
-    pair,
-)
-from .metrize import is_strictly_metric, resume_signature
+from .core import PathSystem, _subpath, all_pairs, is_consistent, pair
 from .rational import ensure
 
 __all__ = [
@@ -33,8 +22,6 @@ __all__ = [
     "enumerate_consistent",
     "boxed_count",
     "sym_count",
-    "asymptotic_check",
-    "signature_separation_experiment",
 ]
 
 
@@ -141,72 +128,3 @@ def sym_count(r, t):
             total *= Fraction(i + j + t - 1, i + j - 1)
     ensure(total.denominator == 1, "Andrews product is an integer")
     return total.numerator
-
-
-def asymptotic_check(n):
-    """ln N(n,n,n) / n^2 as an exact-product, fixed-precision logarithm.
-
-    N = boxed_count(n, n, n) is exact; only the final logarithm leaves
-    exact arithmetic, at 20 decimal digits.
-    """
-    if n > 256:
-        raise ValueError("n capped at 256")
-    if n == 0:
-        return Fraction(0)
-    with localcontext() as ctx:
-        ctx.prec = 35  # the 20 digits above plus 15 guard digits
-        value = Decimal(boxed_count(n, n, n)).ln() / (Decimal(n) ** 2)
-    return Fraction(value)
-
-
-# ---------------------------------------------------------------------------
-# Signature separation (n = 4)
-# ---------------------------------------------------------------------------
-
-
-def _all_partial_functions(n):
-    """Every partial map sending a pair {u,v} to a vertex outside it."""
-    pairs = all_pairs(n)
-    options = []
-    for u, v in pairs:
-        opts = [None] + [z for z in range(1, n + 1) if z not in (u, v)]
-        options.append(opts)
-    for combo in itertools.product(*options):
-        entries = tuple(
-            (pairs[i], z) for i, z in enumerate(combo) if z is not None
-        )
-        yield Resume(n, entries)
-
-
-def signature_separation_experiment():
-    """Check that signatures separate resume from non-resume partial maps.
-
-    For every strictly metric consistent system on [4], the signatures of
-    its resumes must be disjoint from the signatures of all other partial
-    functions.  Returns a report; raises if a collision is found (which
-    would contradict the separation lemma).
-    """
-    n = 4
-    partials = list(_all_partial_functions(n))
-    signatures = [(g, resume_signature(g)) for g in partials]
-    report = {
-        "n": n,
-        "partial_functions": len(partials),
-        "consistent_systems": 0,
-        "strictly_metric_systems": 0,
-        "collisions": 0,
-    }
-    for sys in enumerate_consistent(n):
-        report["consistent_systems"] += 1
-        if not is_strictly_metric(sys).strict:
-            continue
-        report["strictly_metric_systems"] += 1
-        resumes = set(all_resumes(sys))
-        resume_sigs = {resume_signature(f) for f in resumes}
-        for g, sig in signatures:
-            if g not in resumes and sig in resume_sigs:
-                report["collisions"] += 1
-                raise AssertionError(
-                    f"signature collision on system {sys} at partial map {g}"
-                )
-    return report

@@ -3,20 +3,18 @@ every failed exact re-check raises.
 
 Every numeric decision in this library is made in exact rational
 arithmetic; no floating point appears anywhere on a decision path.
-gmpy2's mpq (the optional `fast` extra) is used when available; the
-stdlib Fraction is a drop-in fallback.  `BACKEND` names the one in use.
-Integer LP data stays integer: the LP core keeps int input as ints,
-pivots over Python ints, and builds rationals only for non-integer input
-and for its results, so the backend matters mostly outside it.  The
-exact re-checks scale their rationals to integers (`scaled_to_integers`)
-before comparing.
+`Q` is the standard library's `fractions.Fraction`, the one rational
+type.  Integer LP data stays integer: the LP core keeps int input as
+ints, pivots over Python ints, and builds rationals only for non-integer
+input and for its results.  The exact re-checks scale their rationals to
+integers (`scaled_to_integers`) before comparing.
 
 Every solution, certificate and witness is re-checked exactly before it
 is returned; `ensure` makes each re-check raise `VerificationError`, so
 the checks also run under `python -O`, which strips `assert`.
 """
 
-from fractions import Fraction
+from fractions import Fraction as Q
 from math import lcm
 
 __all__ = [
@@ -26,14 +24,6 @@ __all__ = [
     "rational_to_json",
     "rational_to_text",
 ]
-
-try:
-    from gmpy2 import mpq as Q
-
-    BACKEND = "gmpy2.mpq"
-except ImportError:  # pragma: no cover
-    Q = Fraction
-    BACKEND = "fractions.Fraction"
 
 ZERO = Q(0)
 ONE = Q(1)

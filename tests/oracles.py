@@ -1,4 +1,5 @@
-"""Test-only oracles, each a second way to decide what `pathsystems` decides.
+"""Test-only oracles, each a second way to decide what `pathsystems` decides,
+and the acceptance experiments that no verdict of the library needs.
 
 `boxed_brute` and `sym_brute` count matrices directly, independently of
 the product formulas in `pathsystems.counting` that they check;
@@ -26,14 +27,39 @@ vertex, apart from the greedy pass and Edmonds' augmentation of
 each pair's geodesics among all its simple paths, apart from the
 Floyd-Warshall distances and predecessor counts of
 `pathsystems.metrize.induce_system`.
+
+The two experiments: `asymptotic_check` takes the logarithm of
+MacMahon's exact product `pathsystems.counting.boxed_count(n, n, n)`
+(criterion 3), and `signature_separation_experiment` checks on [4] that
+the signatures of each strictly metric system's résumés meet those of no
+other partial map (criterion 8).
 """
 
 import itertools
 import time
 from collections import deque
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
-from pathsystems.core import Consistency, PathSystem, TripleSet, all_pairs, pair
-from pathsystems.metrize import InduceResult, SearchOutcome, _delta_table, is_realizable, triple_signature
+from pathsystems.core import (
+    Consistency,
+    PathSystem,
+    Resume,
+    TripleSet,
+    all_pairs,
+    all_resumes,
+    pair,
+)
+from pathsystems.counting import boxed_count, enumerate_consistent
+from pathsystems.metrize import (
+    InduceResult,
+    SearchOutcome,
+    _delta_table,
+    is_realizable,
+    is_strictly_metric,
+    resume_signature,
+    triple_signature,
+)
 from pathsystems.ratlp import LinearSystem, OptimizeResult, solve_feasibility
 from pathsystems.rational import ONE, Q, ZERO, ensure
 
@@ -116,6 +142,70 @@ def is_boxed_plane_partition(matrix, r, s, t):
             if i + 1 < r and matrix[i + 1][j] > v:
                 return False
     return True
+
+
+def asymptotic_check(n):
+    """ln N(n,n,n) / n^2 as an exact-product, fixed-precision logarithm.
+
+    N = boxed_count(n, n, n) is exact; only the final logarithm leaves
+    exact arithmetic, at 20 decimal digits.
+    """
+    if n > 256:
+        raise ValueError("n capped at 256")
+    if n == 0:
+        return Fraction(0)
+    with localcontext() as ctx:
+        ctx.prec = 35  # the 20 digits above plus 15 guard digits
+        value = Decimal(boxed_count(n, n, n)).ln() / (Decimal(n) ** 2)
+    return Fraction(value)
+
+
+def _all_partial_functions(n):
+    """Every partial map sending a pair {u,v} to a vertex outside it."""
+    pairs = all_pairs(n)
+    options = []
+    for u, v in pairs:
+        opts = [None] + [z for z in range(1, n + 1) if z not in (u, v)]
+        options.append(opts)
+    for combo in itertools.product(*options):
+        entries = tuple(
+            (pairs[i], z) for i, z in enumerate(combo) if z is not None
+        )
+        yield Resume(n, entries)
+
+
+def signature_separation_experiment():
+    """Check that signatures separate resume from non-resume partial maps.
+
+    For every strictly metric consistent system on [4], the signatures of
+    its resumes must be disjoint from the signatures of all other partial
+    functions.  Returns a report; raises if a collision is found (which
+    would contradict the separation lemma).
+    """
+    n = 4
+    partials = list(_all_partial_functions(n))
+    signatures = [(g, resume_signature(g)) for g in partials]
+    report = {
+        "n": n,
+        "partial_functions": len(partials),
+        "consistent_systems": 0,
+        "strictly_metric_systems": 0,
+        "collisions": 0,
+    }
+    for sys in enumerate_consistent(n):
+        report["consistent_systems"] += 1
+        if not is_strictly_metric(sys).strict:
+            continue
+        report["strictly_metric_systems"] += 1
+        resumes = set(all_resumes(sys))
+        resume_sigs = {resume_signature(f) for f in resumes}
+        for g, sig in signatures:
+            if g not in resumes and sig in resume_sigs:
+                report["collisions"] += 1
+                raise AssertionError(
+                    f"signature collision on system {sys} at partial map {g}"
+                )
+    return report
 
 
 def graph_diameter(g):

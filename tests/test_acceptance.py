@@ -26,11 +26,9 @@ from pathsystems.core import (
     recover_from_resume,
 )
 from pathsystems.counting import (
-    asymptotic_check,
     boxed_count,
     count_d2,
     enumerate_consistent,
-    signature_separation_experiment,
     sym_count,
 )
 from pathsystems.generators import (
@@ -69,10 +67,12 @@ from pathsystems.vc import (
 )
 
 from oracles import (
+    asymptotic_check,
     boxed_brute,
     graph_diameter,
     is_boxed_plane_partition,
     is_intersection_closed,
+    signature_separation_experiment,
     sym_brute,
 )
 

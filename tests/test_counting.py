@@ -4,16 +4,15 @@ from fractions import Fraction
 import pytest
 
 from pathsystems.core import Graph, is_consistent
-from pathsystems.counting import (
-    asymptotic_check,
-    boxed_count,
-    count_d2,
-    enumerate_consistent,
-    signature_separation_experiment,
-    sym_count,
-)
+from pathsystems.counting import boxed_count, count_d2, enumerate_consistent, sym_count
 
-from oracles import boxed_brute, is_boxed_plane_partition, sym_brute
+from oracles import (
+    asymptotic_check,
+    boxed_brute,
+    is_boxed_plane_partition,
+    signature_separation_experiment,
+    sym_brute,
+)
 
 LIMIT_5_12 = 4.5 * math.log(3) - 6 * math.log(2)
 

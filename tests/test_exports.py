@@ -65,37 +65,20 @@ def test_every_import_is_used(path):
 
 
 def foreign_imports(path):
-    """Imports of a module that are neither relative nor from the standard
-    library, except the optional backend imported under `except ImportError`."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    guarded = {
-        id(node)
-        for t in ast.walk(tree)
-        if isinstance(t, ast.Try)
-        and any(isinstance(h.type, ast.Name) and h.type.id == "ImportError" for h in t.handlers)
-        for stmt in t.body
-        for node in ast.walk(stmt)
-    }
+    """Imports of a module that are neither relative nor from the standard library."""
     foreign = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module]
         else:
             continue
-        for name in names:
-            top = name.split(".")[0]
-            if top in sys.stdlib_module_names:
-                continue
-            if (path.name, top) == ("rational.py", "gmpy2") and id(node) in guarded:
-                continue
-            foreign.append(name)
+        foreign += [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     return foreign
 
 
-# The package runs on the standard library alone; gmpy2 (the `fast` extra)
-# is the one optional import, and rational.py falls back to Fraction.
+# The package runs on the standard library alone, with no optional import.
 @pytest.mark.parametrize(
     "path",
     sorted((ROOT / "src" / "pathsystems").glob("*.py")),

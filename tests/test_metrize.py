@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathsystems import jsonio, metrize
 from pathsystems.core import (
@@ -356,8 +356,22 @@ def small_triple_sets(draw):
     return TripleSet(n, frozenset(triples))
 
 
+# Sets of [6] on which the pre-filter rejects a triple of the closure, as
+# it does on the golden set; it rejected none on 600 random sets of [4]
+# and [5], so the drawn sets alone would not reach this case.
+PREFILTER_REJECTS = [
+    [(1, 2, 3), (1, 4, 6), (2, 5, 1), (2, 5, 4), (3, 5, 4), (5, 6, 3)],
+    [(1, 6, 4), (2, 5, 1), (2, 5, 6), (3, 4, 2), (3, 6, 2), (4, 5, 3)],
+    [(1, 2, 3), (1, 2, 6), (2, 4, 1), (2, 4, 5), (3, 6, 4), (5, 6, 2)],
+]
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_triple_sets())
+@example(golden_fixture()[0])
+@example(TripleSet(6, frozenset(PREFILTER_REJECTS[0])))
+@example(TripleSet(6, frozenset(PREFILTER_REJECTS[1])))
+@example(TripleSet(6, frozenset(PREFILTER_REJECTS[2])))
 def test_integral_search_matches_per_candidate_oracle(ts):
     # The stored cuts only skip LPs whose answer they prove: same status,
     # same multiset, same tree.
