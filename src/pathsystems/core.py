@@ -208,6 +208,8 @@ class Resume:
         canon = {}
         items = self.entries.items() if isinstance(self.entries, dict) else self.entries
         for (u, v), z in items:
+            _check_vertex(u, self.n)
+            _check_vertex(v, self.n)
             key = pair(u, v)
             _check_vertex(z, self.n)
             if z in key:

@@ -24,6 +24,7 @@ from .core import (
     Graph,
     PathSystem,
     TripleSet,
+    _check_vertex,
     all_pairs,
     all_pointed_triples,
     colinear_triples,
@@ -198,8 +199,10 @@ class WeightFunction:
     def __init__(self, graph, w):
         self.graph = graph
         self.w = {}
-        for e, val in w.items() if isinstance(w, dict) else w:
-            e = pair(*e)
+        for (u, v), val in w.items() if isinstance(w, dict) else w:
+            _check_vertex(u, graph.n)
+            _check_vertex(v, graph.n)
+            e = pair(u, v)
             if e not in graph.edges:
                 raise ValueError(f"weight on non-edge {e}")
             val = Q(val)
@@ -460,11 +463,11 @@ def verify_witness(S, alpha):
 def _completion(n, triples, residual, rays, ix):
     """A verified y >= 0 over `triples` with sum y_t Delta_t = residual, or None.
 
-    `triples` are candidates[ix:] (the whole universe in the pre-filter,
-    with ix = 0).  A stored (tag, ray) with tag <= ix and ray . residual > 0
-    answers No without an LP.  An LP's No stores its Farkas beta, which has
-    beta . Delta_u <= 0 on every column u, as sparse integers (scaling keeps
-    every sign) with tag ix: beta . r > 0 rules r out over these columns.
+    `triples` are the candidates[ix:] of a search node.  A stored
+    (tag, ray) with tag <= ix and ray . residual > 0 answers No without an
+    LP.  An LP's No stores its Farkas beta, which has beta . Delta_u <= 0
+    on every column u, as sparse integers (scaling keeps every sign) with
+    tag ix: beta . r > 0 rules r out over these columns.
     """
     if any(tag <= ix and sum(b * residual[i] for i, b in ray) > 0 for tag, ray in rays):
         return None
@@ -494,27 +497,26 @@ def integral_witness_search(S, time_budget=None):
     lexicographic triple order with exact-LP relaxation pruning at every
     node; "not_found" is an exhaustive proof, "inconclusive" means the
     wall-clock budget (seconds) ran out; the budget is first checked
-    after the closure step.
+    at the root node.
 
-    The universe is cl(S), in `_delta_table` order.  The closure's last
+    The candidates are cl(S), in `_delta_table` order.  The closure's last
     pseudometric rho is tight exactly on cl(S), and any y >= 0 with
     sum y_u Delta_u = sum over S of Delta_s gives sum y_u (Delta_u . rho)
-    = 0, so y_u = 0 off cl(S): the candidates, the tree and every
-    completion are those over all pointed triples.
+    = 0, so y_u = 0 off cl(S): no witness, integral or fractional, leaves
+    cl(S).  A candidate that no fractional completion uses with y_t >= 1
+    stays in the tree; its branches with c >= 1 die at their first LP or
+    stored ray.
 
     Every verified LP answer is reused (Benders feasibility cuts):
 
-    - a Farkas ray found over the columns candidates[ix:] (the whole
-      universe in the pre-filter: tag 0) excludes, by one exact dot
-      product, any residual at a node ix' >= ix, whose columns are a
-      subset of those;
-    - a pre-filter solution y for target - Delta_t, with e_t added back,
-      solves target, so it admits every t' with y_t' >= 1;
+    - a Farkas ray found over the columns candidates[ix:] excludes, by
+      one exact dot product, any residual at a node ix' >= ix, whose
+      columns are a subset of those;
     - a node's solution y, less its entry for t = candidates[ix], solves
       the child that takes t exactly y_t times.
 
-    A reused answer only skips an LP whose verdict it proves, so the
-    candidates, the tree and `nodes` are those of one LP per question.
+    A reused answer only skips an LP whose verdict it proves, so the tree
+    and `nodes` are those of one LP per node.
     """
     n = S.n
     target = triple_signature(S)
@@ -522,23 +524,8 @@ def integral_witness_search(S, time_budget=None):
     deadline = None if time_budget is None else time.monotonic() + time_budget
     within = closure(S).triples
     deltas = _delta_table(n)
-    universe = [t for t in deltas if t in within]
+    candidates = [t for t in deltas if t in within]
     rays = []  # (ix, ray): the ray holds over candidates[ix:]
-    admitted = set()
-    # A triple can appear in an integral witness only if a fractional
-    # solution with its coefficient >= 1 exists.
-    candidates = []
-    for t in universe:
-        if deadline is not None and time.monotonic() > deadline:
-            return SearchOutcome("inconclusive")
-        if t not in admitted:
-            d = deltas[t]
-            shifted = [target[i] - d[i] for i in range(len(target))]
-            y = _completion(n, universe, shifted, rays, 0)
-            if y is None:
-                continue
-            admitted.update(u for u, yu in zip(universe, y) if yu >= 1)
-        candidates.append(t)
     nodes = 0
 
     def recurse(ix, remaining, residual, chosen, solution=None):

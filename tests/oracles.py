@@ -7,11 +7,12 @@ the product formulas in `pathsystems.counting` that they check;
 decides the closure of a triple set with one LP per triple outside it,
 independently of the repeated realizability of `pathsystems.metrize.closure`.
 `integral_witness_search_per_candidate` is the integral witness search
-with one LP per candidate and per node, and no cut reuse: the same tree
-as `pathsystems.metrize.integral_witness_search`, decided without its
-stored Farkas rays and solutions.  `FractionTableau` is the simplex tableau
-over rationals that the integer `pathsystems.ratlp._Tableau` replaced, with
-the same phase-1 pivot rule and a phase 2 by Bland's rule;
+over `closure_per_triple`, with one LP per node and no cut reuse: the
+same tree as `pathsystems.metrize.integral_witness_search`, decided
+without its stored Farkas rays and solutions.  `FractionTableau` is the
+simplex tableau over rationals that the integer
+`pathsystems.ratlp._Tableau` replaced, with the same phase-1 pivot rule
+and a phase 2 by Bland's rule;
 `maximize_two_phase` runs the two-phase simplex on it, a second way to
 reach the optimum that `pathsystems.ratlp.maximize` proves by LP duality.
 `graph_diameter` measures a graph by breadth-first search, apart from the
@@ -341,24 +342,16 @@ def integral_witness_search_per_candidate(S, time_budget=None):
     forced since every Delta_t has coordinate sum 1.  Branch and bound in
     lexicographic triple order with exact-LP relaxation pruning at every
     node; "not_found" is an exhaustive proof, "inconclusive" means the
-    wall-clock budget (seconds) ran out.
+    wall-clock budget (seconds) ran out.  The candidates are the triples
+    of `closure_per_triple(S)`, in `_delta_table` order.
     """
     n = S.n
     target = triple_signature(S)
     m = len(S)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     deltas = _delta_table(n)
-    universe = list(deltas)
-    # A triple can appear in an integral witness only if a fractional
-    # solution with its coefficient >= 1 exists.
-    candidates = []
-    for t in universe:
-        if deadline is not None and time.monotonic() > deadline:
-            return SearchOutcome("inconclusive")
-        d = deltas[t]
-        shifted = [target[i] - d[i] for i in range(len(target))]
-        if _completion_feasible(n, universe, shifted):
-            candidates.append(t)
+    within = closure_per_triple(S).triples
+    candidates = [t for t in deltas if t in within]
     nodes = 0
 
     def recurse(ix, remaining, residual):

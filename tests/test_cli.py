@@ -315,8 +315,8 @@ def triples_doc(pair):
     return {"n": 4, "triples": [{"pair": pair, "point": 3}]}
 
 
-def weights_doc(num, den):
-    weight = {"edge": [1, 2], "num": num, "den": den}
+def weights_doc(num, den, edge=(1, 2)):
+    weight = {"edge": list(edge), "num": num, "den": den}
     return {"graph": {"n": 2, "edges": [[1, 2]]}, "weights": [weight]}
 
 
@@ -385,6 +385,10 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         (("induce",), triangle_weights([1, 3]), "two different weights on edge (1, 3)"),
         (("resume", "recover"), resume_doc([3, 1]), "two different résumé values for pair (1, 3)"),
         (("resume", "recover"), resume_doc([1, 3]), "two different résumé values for pair (1, 3)"),
+        (("resume", "recover"), resume_doc([1, 99]), "vertex 99 not in 1..4"),
+        (("resume", "recover"), resume_doc([True, 3]), "vertex True not in 1..4"),
+        (("induce",), weights_doc("1", "1", edge=(True, 2)), "vertex True not in 1..2"),
+        (("induce",), weights_doc("1", "1", edge=(1.0, 2)), "vertex 1.0 not in 1..2"),
     ],
     ids=[
         "missing_file",
@@ -417,6 +421,10 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         "conflicting_weights_same_orientation",
         "conflicting_resume_reversed",
         "conflicting_resume_same_orientation",
+        "out_of_range_resume_pair",
+        "bool_resume_pair",
+        "bool_weight_edge",
+        "float_weight_edge",
     ],
 )
 def test_malformed_input_exit_2(capsys, tmp_path, argv, doc, message):
@@ -489,7 +497,7 @@ def test_unknown_flag_exit_2(capsys):
 # must stay byte-stable, so a change that moves a pin names it.
 PINNED_OUTPUT = {
     "verify paper-example":
-        (0, "4cbf37d27a2a5a039484a063314da79567d58a4d2e8cfa8432630fd33caf9d71"),
+        (0, "52307778a3f10277507c6d732f81e395eff757c579a333acf572aeba2b1629e6"),
     "closure paper_example.json":
         (0, "63daa6ee139365c2f5de688330db6bf9d550894a30fdb560af9b36d2107c1519"),
     "metrize witness paper_example.json":

@@ -356,10 +356,12 @@ def small_triple_sets(draw):
     return TripleSet(n, frozenset(triples))
 
 
-# Sets of [6] on which the pre-filter rejects a triple of the closure, as
-# it does on the golden set; it rejected none on 600 random sets of [4]
-# and [5], so the drawn sets alone would not reach this case.
-PREFILTER_REJECTS = [
+# Sets of [6] whose closure holds triples that no fractional witness uses
+# with coefficient >= 1, as the golden set's does, so the search tree has
+# branches that die at their first LP or stored ray; no set among 600
+# random sets of [4] and [5] had such a triple, so the drawn sets alone
+# would not reach this case.
+DEAD_BRANCH_SETS = [
     [(1, 2, 3), (1, 4, 6), (2, 5, 1), (2, 5, 4), (3, 5, 4), (5, 6, 3)],
     [(1, 6, 4), (2, 5, 1), (2, 5, 6), (3, 4, 2), (3, 6, 2), (4, 5, 3)],
     [(1, 2, 3), (1, 2, 6), (2, 4, 1), (2, 4, 5), (3, 6, 4), (5, 6, 2)],
@@ -369,9 +371,9 @@ PREFILTER_REJECTS = [
 @settings(max_examples=40, deadline=None)
 @given(small_triple_sets())
 @example(golden_fixture()[0])
-@example(TripleSet(6, frozenset(PREFILTER_REJECTS[0])))
-@example(TripleSet(6, frozenset(PREFILTER_REJECTS[1])))
-@example(TripleSet(6, frozenset(PREFILTER_REJECTS[2])))
+@example(TripleSet(6, frozenset(DEAD_BRANCH_SETS[0])))
+@example(TripleSet(6, frozenset(DEAD_BRANCH_SETS[1])))
+@example(TripleSet(6, frozenset(DEAD_BRANCH_SETS[2])))
 def test_integral_search_matches_per_candidate_oracle(ts):
     # The stored cuts only skip LPs whose answer they prove: same status,
     # same multiset, same tree.
@@ -379,12 +381,13 @@ def test_integral_search_matches_per_candidate_oracle(ts):
 
 
 def test_integral_search_of_golden_set_reuses_cuts(monkeypatch):
-    # One LP per triple of [8] in the pre-filter alone would be 168.
+    # 68 nodes, 20 LPs: 2 for the closure, the rest at nodes that no
+    # stored ray or solution answers.
     calls = _count_lps(monkeypatch)
     ts, _ = golden_fixture()
     out = integral_witness_search(ts)
-    assert (out.status, out.nodes) == ("not_found", 41)
-    assert len(calls) == 22
+    assert (out.status, out.nodes) == ("not_found", 68)
+    assert len(calls) == 20
 
 
 @settings(max_examples=30, deadline=None)
