@@ -49,23 +49,20 @@ NOISE_MAX = 10**4
 MAX_ATTEMPTS = 64
 
 
-def _bernoulli(rng, p):
-    """Exact Bernoulli(p) for rational p, sharing the RNG stream discipline."""
-    p = Q(p)
-    if not 0 <= p <= 1:
-        raise ValueError("probability must lie in [0, 1]")
-    return rng.randrange(p.denominator) < p.numerator
-
-
 def _noise(rng):
     return Q(rng.randrange(NOISE_MAX + 1), NOISE_DEN)
 
 
 def _sample_subsets(n, size, p, seed):
     """The `size`-subsets of [n] in lexicographic order, each kept with
-    probability p by one draw from the stream of random.Random(seed)."""
+    probability p by one exact draw from the stream of random.Random(seed).
+    p is checked before any subset is drawn, so also when none is."""
+    p = Q(p)
+    if not 0 <= p <= 1:
+        raise ValueError("probability must lie in [0, 1]")
     rng = random.Random(seed)
-    return [s for s in itertools.combinations(range(1, n + 1), size) if _bernoulli(rng, p)]
+    subsets = itertools.combinations(range(1, n + 1), size)
+    return [s for s in subsets if rng.randrange(p.denominator) < p.numerator]
 
 
 def gen_gnp(n, p, seed):

@@ -473,7 +473,9 @@ def _completion(n, triples, residual, rays, ix):
         return None
     table = _delta_table(n)
     cols = [table[t] for t in triples]
-    # Rows from lists, not generators: see `ratlp._exact_vec`.
+    # Rows are tuples built from lists, kept as given by `LinearSystem`: a tuple
+    # built from a generator is resized as it grows, and LP rows of many lengths
+    # then park megabytes in CPython's per-size tuple free lists.
     eqs = tuple((tuple([col[i] for col in cols]), r) for i, r in enumerate(residual))
     system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
     res = solve_feasibility(system)

@@ -4,10 +4,10 @@ every failed exact re-check raises.
 Every numeric decision in this library is made in exact rational
 arithmetic; no floating point appears anywhere on a decision path.
 `Q` is the standard library's `fractions.Fraction`, the one rational
-type.  Integer LP data stays integer: the LP core keeps int input as
-ints, pivots over Python ints, and builds rationals only for non-integer
-input and for its results.  The exact re-checks scale their rationals to
-integers (`scaled_to_integers`) before comparing.
+type.  The LP core pivots over Python ints: it keeps an int row as given,
+scales any other row to integers once (`scaled_to_integers`), and builds
+rationals only for its results.  The exact re-checks scale their
+rationals to integers the same way before comparing.
 
 Every solution, certificate and witness is re-checked exactly before it
 is returned; `ensure` makes each re-check raise `VerificationError`, so

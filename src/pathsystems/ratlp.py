@@ -18,12 +18,12 @@ A system without rows is solved by the zero vector.  `maximize` asks one
 more feasibility question: by LP duality, a primal solution and row
 multipliers with no duality gap prove each other optimal.
 
-Integer data stays integer from input to tableau: `LinearSystem` keeps
-int coefficients and right-hand sides as ints and turns only other
-values (Fraction/mpq, float, str) into `Q`.  The simplex is revised: it
-takes the constraint matrix as columns, which each route builds once,
-keeps them as sparse integer columns scaled by the lcm of their
-denominators, and keeps only [B^-1 | B^-1 b] over integers.  Pricing is
+The simplex runs over integers only.  `LinearSystem` keeps a row of
+ints as given and stores any other row (Fraction, float or str entries)
+once, as `Q` entries times the lcm of their denominators.  The simplex is
+revised: it takes the constraint matrix as columns, which each route
+builds once, keeps them as sparse integer columns, and keeps only
+[B^-1 | B^-1 b] over integers.  Pricing is
 cyclic, and the leaving row comes from the lexicographic ratio test of
 Dantzig, Orden and Wolfe (1955), which rules out cycling under any
 entering rule.  The verdicts do not depend on the pivot rule; the
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 from .rational import Q, ZERO, ensure, scaled_to_integers
 
@@ -54,20 +54,19 @@ __all__ = [
 ]
 
 
-def _exact(v):
-    """v itself when it is an int, else v as a Q."""
-    return v if type(v) is int else Q(v)
-
-
-def _exact_vec(values, length):
-    # Rows are built from lists: a tuple built from a generator is allocated
+def _row(a, b, length):
+    """(a, b) as an int tuple and an int, by the rule of `LinearSystem`."""
+    # A tuple is built from a list: built from a generator, it is allocated
     # at a guessed size and resized, which moves it between CPython's
     # per-size tuple free lists, and LP rows of many lengths then leave
     # megabytes parked in those lists.
-    vec = tuple([v if type(v) is int else Q(v) for v in values])
-    if len(vec) != length:
-        raise ValueError(f"expected vector of length {length}, got {len(vec)}")
-    return vec
+    a = a if type(a) is tuple else tuple([*a])
+    if len(a) != length:
+        raise ValueError(f"expected vector of length {length}, got {len(a)}")
+    if type(b) is int and all([type(v) is int for v in a]):
+        return a, b
+    *ints, b = scaled_to_integers([Q(v) for v in (*a, b)])[0]
+    return tuple(ints), b
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,10 @@ class LinearSystem:
     equalities: (coeffs, rhs) meaning <coeffs, x> = rhs
     inequalities: (coeffs, rhs) meaning <coeffs, x> >= rhs
 
-    Int entries are kept as ints; every other entry becomes a Q.
+    Every stored row is all-int: an all-int tuple row is kept as given, and
+    any other row is multiplied by the lcm of its denominators, which keeps
+    its solution set.  A Farkas certificate refers to the stored rows (in
+    this package, always the caller's own).  The objective is kept as Qs.
     """
 
     num_vars: int
@@ -88,12 +90,15 @@ class LinearSystem:
 
     def __post_init__(self):
         V = self.num_vars
-        eqs = tuple((_exact_vec(a, V), _exact(b)) for a, b in self.equalities)
-        ineqs = tuple((_exact_vec(a, V), _exact(b)) for a, b in self.inequalities)
+        eqs = tuple([_row(a, b, V) for a, b in self.equalities])
+        ineqs = tuple([_row(a, b, V) for a, b in self.inequalities])
         object.__setattr__(self, "equalities", eqs)
         object.__setattr__(self, "inequalities", ineqs)
         if self.objective is not None:
-            object.__setattr__(self, "objective", _exact_vec(self.objective, V))
+            c = tuple([Q(v) for v in self.objective])
+            if len(c) != V:
+                raise ValueError(f"expected vector of length {V}, got {len(c)}")
+            object.__setattr__(self, "objective", c)
 
 
 @dataclass(frozen=True)
@@ -159,12 +164,9 @@ def _eliminate(row, den, f, prow, pden, support):
 class _Tableau:
     """Revised phase-1 simplex for A z = b, z >= 0 with b >= 0.
 
-    It takes `cols`, the n columns of A, and `rhs`, the m entries of b.
-    m artificial columns form the initial basis B.  Column j of A is
-    stored once, sparse, multiplied by D_j, the lcm of its denominators: a
-    positive column scale keeps the sign of every reduced cost and the
-    order of every lexicographic ratio, so the pivots are those of the
-    unscaled tableau, and z_j is D_j times the scaled value.  Only
+    It takes `cols`, the n columns of A, and `rhs`, the m entries of b,
+    all ints.  m artificial columns form the initial basis B.  Column j of
+    A is stored once, sparse, as (row, value) pairs.  Only
     [B^-1 | B^-1 b] is kept, row i as m+1 integer numerators over one
     positive row denominator den[i], with the cost row over the
     artificials and the rhs, as numerators over cden.  Each step prices
@@ -184,23 +186,16 @@ class _Tableau:
     def __init__(self, cols, rhs):
         self.m = m = len(rhs)
         self.n = len(cols)
-        self.cols, self.scale = [], []
-        for col in cols:
-            nonzero = [(i, v) for i, v in enumerate(col) if v]
-            scale = lcm(*[v.denominator for _, v in nonzero])
-            self.cols.append([(i, v.numerator * (scale // v.denominator)) for i, v in nonzero])
-            self.scale.append(scale)
-        self.T, self.den = [], []
+        self.cols = [[(i, v) for i, v in enumerate(col) if v] for col in cols]
+        self.T = []
         for i, b in enumerate(rhs):
             row = [0] * (m + 1)
-            row[i], row[m] = b.denominator, b.numerator
+            row[i], row[m] = 1, b
             self.T.append(row)
-            self.den.append(b.denominator)
+        self.den = [1] * m
         self.basis = [self.n + i for i in range(m)]
         # Phase-1 costs: 1 on every artificial, so y = all-ones at the start.
-        cden = lcm(*self.den)
-        total = sum(row[m] * (cden // den) for row, den in zip(self.T, self.den))
-        self.cost, self.cden = _reduced([0] * m + [-total], cden)
+        self.cost, self.cden = [0] * m + [-sum(rhs)], 1
 
     def pivot(self, r, c, column, f):
         """Enter column c (B^-1 A_c in `column`, reduced cost f/cden) at row r."""
@@ -274,7 +269,7 @@ class _Tableau:
         z = [ZERO] * self.n
         for i, bv in enumerate(self.basis):
             if bv < self.n:
-                z[bv] = Q(self.T[i][self.m] * self.scale[bv], self.den[i])
+                z[bv] = Q(self.T[i][self.m], self.den[i])
         return z
 
 
@@ -335,7 +330,7 @@ def _feasibility_direct(system):
 
     A is transposed once, negating row i where its right-hand side is
     negative (sign_i = -1); inequality i adds a surplus column whose one
-    non-zero is -sign_i.  Int data gives int columns.
+    non-zero is -sign_i.
     """
     n_eq = len(system.equalities)
     rows = system.equalities + system.inequalities

@@ -324,7 +324,9 @@ def _completion_feasible(n, triples, residual):
     """Exists y >= 0 over `triples` with sum y_t Delta_t = residual?"""
     table = _delta_table(n)
     cols = [table[t] for t in triples]
-    # Rows from lists, not generators: see `ratlp._exact_vec`.
+    # Rows are tuples built from lists, kept as given by `LinearSystem`: a tuple
+    # built from a generator is resized as it grows, and LP rows of many lengths
+    # then park megabytes in CPython's per-size tuple free lists.
     eqs = tuple((tuple([col[i] for col in cols]), r) for i, r in enumerate(residual))
     system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
     return solve_feasibility(system).feasible

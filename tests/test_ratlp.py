@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -159,25 +160,26 @@ def as_rationals(system):
 @given(integer_systems())
 def test_int_and_rational_entries_give_equal_results(system):
     as_q = as_rationals(system)
-    assert all(type(x) is int for a, b in system.equalities + system.inequalities for x in (*a, b))
-    assert all(type(x) is Q for a, b in as_q.equalities + as_q.inequalities for x in (*a, b))
+    stored = as_q.equalities + as_q.inequalities
+    assert all(type(x) is int for a, b in stored for x in (*a, b))
+    assert (as_q.equalities, as_q.inequalities) == (system.equalities, system.inequalities)
     assert solve_feasibility(system) == solve_feasibility(as_q)
 
 
 def test_linear_system_keeps_ints_and_converts_the_rest():
+    int_row = (1, 0, -1, 0)
     system = LinearSystem(
         4,
         equalities=(((1, Q(1, 2), 0.5, "1/2"), 3),),
-        inequalities=(((0, -1, 2, 7), Q(1, 2)),),
+        inequalities=(((0, -1, 2, 7), Q(1, 2)), (int_row, 2)),
         objective=(2, 0.5, "1/2", Q(1, 2)),
     )
-    (eq, eq_rhs), (ineq, ineq_rhs) = system.equalities[0], system.inequalities[0]
-    assert [type(x) for x in eq] == [int, Q, Q, Q]
-    assert eq == (1, Q(1, 2), Q(1, 2), Q(1, 2))
-    assert type(eq_rhs) is int and eq_rhs == 3
-    assert all(type(x) is int for x in ineq)
-    assert type(ineq_rhs) is Q
-    assert [type(x) for x in system.objective] == [int, Q, Q, Q]
+    assert system.inequalities[1][0] is int_row
+    assert system.equalities == (((2, 1, 1, 1), 6),)
+    assert system.inequalities[0] == ((0, -2, 4, 14), 1)
+    stored = system.equalities + system.inequalities
+    assert all(type(x) is int for a, b in stored for x in (*a, b))
+    assert all(type(x) is Q for x in system.objective)
     assert system.objective == (2, Q(1, 2), Q(1, 2), Q(1, 2))
 
 
@@ -185,8 +187,9 @@ small_rationals = st.builds(Q, small_entries, st.sampled_from([1, 1, 1, 2, 3]))
 
 
 @st.composite
-def rational_systems(draw, with_objective=False):
-    """Rational systems of up to 5 variables and 14 rows.
+def rational_system_args(draw, with_objective=False):
+    """The `LinearSystem` arguments of a rational system of up to 5
+    variables and 14 rows, its rows as drawn.
 
     An equality may be repeated with a factor -2, -1 or 2, so the
     artificial of the copy can stay basic at level 0 after phase 1 (the
@@ -203,13 +206,48 @@ def rational_systems(draw, with_objective=False):
     objective = None
     if with_objective:
         objective = tuple(draw(st.lists(small_rationals, min_size=nv, max_size=nv)))
-    return LinearSystem(
-        nv,
+    return dict(
+        num_vars=nv,
         equalities=tuple(eqs),
         inequalities=tuple(ineqs),
         objective=objective,
         nonnegative_vars=draw(st.booleans()),
     )
+
+
+def rational_systems(with_objective=False):
+    return rational_system_args(with_objective).map(lambda args: LinearSystem(**args))
+
+
+def integral_rows_as_ints(rows):
+    """The rows, each with all-integral entries given as an int tuple and an int."""
+    return tuple(
+        (tuple([int(x) for x in a]), int(b)) if all(x.denominator == 1 for x in (*a, b)) else (a, b)
+        for a, b in rows
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_system_args())
+def test_linear_system_scales_each_rational_row_once(args):
+    given_rows = {k: integral_rows_as_ints(args[k]) for k in ("equalities", "inequalities")}
+    system = LinearSystem(args["num_vars"], nonnegative_vars=args["nonnegative_vars"], **given_rows)
+    pairs = zip(
+        given_rows["equalities"] + given_rows["inequalities"],
+        system.equalities + system.inequalities,
+    )
+    for (a, b), (stored_a, stored_b) in pairs:
+        row, stored = (*a, b), (*stored_a, stored_b)
+        assert all(type(x) is int for x in stored)
+        if all(type(x) is int for x in row):
+            assert stored_a is a and stored_b == b
+        k = next((Q(s, x) for x, s in zip(row, stored) if x), 1)
+        assert k.denominator == 1 and k > 0
+        assert stored == tuple(k * x for x in row)
+    res = solve_feasibility(system)
+    if res.feasible:
+        unscaled = SimpleNamespace(nonnegative_vars=system.nonnegative_vars, **given_rows)
+        assert satisfies(unscaled, res.solution)
 
 
 # Systems over no variables, with free and with non-negative variables:
@@ -255,8 +293,7 @@ def pivots(tableau, system):
     return made
 
 
-# Column 0 of the direct route's standard form holds 1/2 and 1/3, and the
-# via-dual route's first column holds 1/3, -1 and 1/6: both are scaled by 6.
+# The rows are stored scaled by 2 and by 6, to (1, 2) = 2 and (2, -6) >= 1.
 MIXED_DENOMINATORS = LinearSystem(
     2,
     equalities=(((Q(1, 2), 1), 1),),
@@ -275,17 +312,6 @@ MIXED_DENOMINATORS = LinearSystem(
 @example(ZERO_VARIABLE_EXAMPLES[3])
 def test_revised_tableau_pivots_like_fraction_oracle(system):
     assert pivots(ratlp._Tableau, system) == pivots(FractionTableau, system)
-
-
-def test_column_scale_keeps_pivots_solution_and_duals():
-    cols = [[Q(1, 2), Q(1, 3), 1], [Q(2, 3), Q(-1, 6), Q(1, 4)], [1, 0, 1], [0, 1, 1]]
-    rhs = [Q(3, 2), Q(1, 5), 2]
-    revised, dense = ratlp._Tableau(cols, rhs), FractionTableau(cols, rhs)
-    assert revised.scale == [6, 12, 1, 1]
-    assert revised.phase1() == dense.phase1()
-    assert revised.basis == dense.basis
-    assert revised.solution() == dense.solution()
-    assert revised.duals() == dense.duals()
 
 
 def run_recorded(system):
