@@ -3,8 +3,8 @@
 A consistent path system is (strictly) metric when its paths are the
 (unique) shortest paths of some positive edge weighting.  Both properties
 reduce to exact rational linear feasibility over one variable per vertex
-pair, with one row Delta_t per pointed triple t taken from a per-n table:
-equality rows for colinear triples, inequality rows for the rest.  Strict
+pair, with one sparse row Delta_t per pointed triple t taken from a per-n
+table: equality rows for colinear triples, inequality rows for the rest.  Strict
 metrizability is the realizability of the system's colinear triple set,
 decided by `is_realizable`.  Infeasibility converts, via the Farkas
 certificate, into a non-negative combination of triple vectors witnessing
@@ -17,6 +17,7 @@ forced into the set until the set is realizable.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -65,34 +66,21 @@ def _pair_index(n):
 
 
 @functools.lru_cache(maxsize=None)
-def _triple_index(n):
-    """The pair indices ({a,c}, {c,b}, {a,b}) of every pointed triple
-    {a,b;c} of [n], in lexicographic order of the triples.
-
-    The table and its triples are shared: callers must not mutate it.
-    """
-    idx = _pair_index(n)
-    return {
-        (a, b, c): (idx[pair(a, c)], idx[pair(c, b)], idx[(a, b)])
-        for a, b, c in all_pointed_triples(n)
-    }
-
-
-@functools.lru_cache(maxsize=None)
 def _delta_table(n):
     """Delta_t of every pointed triple t of [n], in lexicographic order of t.
 
-    Delta_{a,b;c} has +1 at {a,c} and {c,b} and -1 at {a,b}, indexed as
-    `_pair_index(n)`; its keys are those of `_triple_index(n)`.  The table is
-    shared: callers must not mutate it.
+    Delta_{a,b;c} is its three (pair index, coefficient) entries (({a,c}, 1),
+    ({c,b}, 1), ({a,b}, -1)), as in `_pair_index(n)`: the sparse row an LP
+    keeps as given.  The table, and its one entry per (pair, sign), are
+    shared: callers must not mutate them.
     """
-    table = {}
-    for t, (ac, cb, ab) in _triple_index(n).items():
-        vec = [0] * (n * (n - 1) // 2)
-        vec[ac] = vec[cb] = 1
-        vec[ab] = -1
-        table[t] = tuple(vec)
-    return table
+    idx = _pair_index(n)
+    plus = [(i, 1) for i in range(len(idx))]
+    minus = [(i, -1) for i in range(len(idx))]
+    return {
+        (a, b, c): (plus[idx[pair(a, c)]], plus[idx[pair(c, b)]], minus[idx[(a, b)]])
+        for a, b, c in all_pointed_triples(n)
+    }
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,19 +92,17 @@ def _triple_keys(n):
 
 def _delta_sum(n, terms):
     """Sum of coeff * Delta_t over (t, coeff) terms with canonical triples t."""
-    index = _triple_index(n)
+    table = _delta_table(n)
     vec = [0] * (n * (n - 1) // 2)
     for t, coeff in terms:
-        ac, cb, ab = index[t]
-        vec[ac] += coeff
-        vec[cb] += coeff
-        vec[ab] -= coeff
+        for i, v in table[t]:
+            vec[i] += v * coeff
     return tuple(vec)
 
 
 def delta(t, n):
-    """The vector of pointed triple {a,b;c}: +1 at {a,c} and {c,b}, -1 at {a,b}."""
-    return _delta_table(n)[pointed_triple(*t)]
+    """The dense vector of pointed triple {a,b;c}: +1 at {a,c} and {c,b}, -1 at {a,b}."""
+    return _delta_sum(n, ((pointed_triple(*t), 1),))
 
 
 def triple_signature(ts):
@@ -170,7 +156,7 @@ class Pseudometric:
         for p, v in zip(all_pairs(self.n), d):
             if v < 0:
                 raise ValueError(f"negative distance at {p}")
-        for (a, b, c), (ac, cb, ab) in _triple_index(self.n).items():
+        for (a, b, c), ((ac, _), (cb, _), (ab, _)) in _delta_table(self.n).items():
             if d[ac] + d[cb] < d[ab]:
                 raise ValueError(f"triangle inequality fails on {{{a},{b};{c}}}")
 
@@ -286,9 +272,9 @@ def build_lp(sys):
     colinear = colinear_triples(sys).triples
     table = _delta_table(sys.n)
     npairs = len(all_pairs(sys.n))
-    eqs = [(vec, 0) for t, vec in table.items() if t in colinear]
-    ineqs = [(vec, 0) for t, vec in table.items() if t not in colinear]
-    ineqs += [(tuple(1 if j == i else 0 for j in range(npairs)), 1) for i in range(npairs)]
+    eqs = [(row, 0) for t, row in table.items() if t in colinear]
+    ineqs = [(row, 0) for t, row in table.items() if t not in colinear]
+    ineqs += [(((i, 1),), 1) for i in range(npairs)]
     return LinearSystem(num_vars=npairs, equalities=tuple(eqs), inequalities=tuple(ineqs))
 
 
@@ -344,8 +330,8 @@ def triples_of_metric(rho):
     """T(rho): pointed triples where the triangle inequality is tight,
     compared on the stored integers."""
     d = rho.scaled
-    index = _triple_index(rho.n)
-    tight = [t for t, (ac, cb, ab) in index.items() if d[ac] + d[cb] == d[ab]]
+    table = _delta_table(rho.n)
+    tight = [t for t, ((ac, _), (cb, _), (ab, _)) in table.items() if d[ac] + d[cb] == d[ab]]
     return TripleSet(rho.n, frozenset(tight))
 
 
@@ -472,11 +458,12 @@ def _completion(n, triples, residual, rays, ix):
     if any(tag <= ix and sum(b * residual[i] for i, b in ray) > 0 for tag, ray in rays):
         return None
     table = _delta_table(n)
-    cols = [table[t] for t in triples]
-    # Rows are tuples built from lists, kept as given by `LinearSystem`: a tuple
-    # built from a generator is resized as it grows, and LP rows of many lengths
-    # then park megabytes in CPython's per-size tuple free lists.
-    eqs = tuple((tuple([col[i] for col in cols]), r) for i, r in enumerate(residual))
+    rows = [[] for _ in residual]
+    for j, t in enumerate(triples):
+        for i, v in table[t]:
+            rows[i].append((j, v))
+    # Tuples built from lists, kept as given by `LinearSystem` (see `ratlp._row`).
+    eqs = tuple([(tuple(row), r) for row, r in zip(rows, residual)])
     system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
     res = solve_feasibility(system)
     if res.feasible:
@@ -498,8 +485,8 @@ def integral_witness_search(S, time_budget=None):
     forced since every Delta_t has coordinate sum 1.  Branch and bound in
     lexicographic triple order with exact-LP relaxation pruning at every
     node; "not_found" is an exhaustive proof, "inconclusive" means the
-    wall-clock budget (seconds) ran out; the budget is first checked
-    at the root node.
+    wall-clock budget (seconds) ran out; the budget is checked before
+    each realizability round of the search's closure and at every node.
 
     The candidates are cl(S), in `_delta_table` order.  The closure's last
     pseudometric rho is tight exactly on cl(S), and any y >= 0 with
@@ -523,10 +510,8 @@ def integral_witness_search(S, time_budget=None):
     n = S.n
     target = triple_signature(S)
     m = len(S)
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    within = closure(S).triples
+    deadline = math.inf if time_budget is None else time.monotonic() + time_budget
     deltas = _delta_table(n)
-    candidates = [t for t in deltas if t in within]
     rays = []  # (ix, ray): the ray holds over candidates[ix:]
     nodes = 0
 
@@ -535,7 +520,7 @@ def integral_witness_search(S, time_budget=None):
         # `solution`: a known completion of residual over candidates[ix:].
         nonlocal nodes
         nodes += 1
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() >= deadline:
             raise _Budget
         if remaining == 0:
             if not any(residual) and not set(chosen) <= S.triples:
@@ -548,9 +533,10 @@ def integral_witness_search(S, time_budget=None):
             if solution is None:
                 return None
         t = candidates[ix]
-        d = deltas[t]
         for c in range(remaining + 1):
-            new_res = [residual[i] - c * d[i] for i in range(len(residual))]
+            new_res = residual[:]
+            for i, v in deltas[t]:
+                new_res[i] -= c * v
             child = solution[1:] if solution[0] == c else None
             found = recurse(ix + 1, remaining - c, new_res, chosen + (t,) * c, child)
             if found is not None:
@@ -558,6 +544,8 @@ def integral_witness_search(S, time_budget=None):
         return None
 
     try:
+        within = _closure(S, deadline).triples
+        candidates = [t for t in deltas if t in within]
         found = recurse(0, m, list(target), ())
     except _Budget:
         return SearchOutcome("inconclusive", nodes=nodes)
@@ -627,9 +615,18 @@ def closure(S):
     joins it.  The first Yes ends the loop: its pseudometric has slack on
     every other triple, so none is forced.  A closed S is returned itself.
     """
-    current = _betweenness_closure(S)
+    return _closure(S, math.inf)
+
+
+def _closure(S, deadline):
+    """`closure(S)`; a round of propagation and realizability that would
+    start at the monotonic time `deadline` or later raises `_Budget`."""
+    current = S
     while True:
+        if time.monotonic() >= deadline:
+            raise _Budget
+        current = _betweenness_closure(current)
         res = is_realizable(current)
         if res.realizable:
             return current
-        current = _betweenness_closure(TripleSet(S.n, current.triples.union(res.witness)))
+        current = TripleSet(S.n, current.triples.union(res.witness))

@@ -2,7 +2,9 @@
 
 Constraints are <a,x> >= rhs (inequalities) and <a,x> = rhs (equalities)
 over free variables by default; `nonnegative_vars=True` constrains every
-variable to be >= 0 natively.
+variable to be >= 0 natively.  A row is sparse: a is a tuple of
+(variable, coefficient) entries, and a variable it leaves out has
+coefficient 0.
 
 Every question is answered by one phase-1 simplex run, on a tableau
 chosen by the variables' sign:
@@ -19,11 +21,11 @@ more feasibility question: by LP duality, a primal solution and row
 multipliers with no duality gap prove each other optimal.
 
 The simplex runs over integers only.  `LinearSystem` keeps a row of
-ints as given and stores any other row (Fraction, float or str entries)
-once, as `Q` entries times the lcm of their denominators.  The simplex is
-revised: it takes the constraint matrix as columns, which each route
-builds once, keeps them as sparse integer columns, and keeps only
-[B^-1 | B^-1 b] over integers.  Pricing is
+ints as given and stores any other row (Fraction, float or str
+coefficients) once, as `Q` entries times the lcm of their denominators.
+The simplex is revised: it takes the constraint matrix as sparse integer
+columns, which each route builds once from the rows' entries, and keeps
+only [B^-1 | B^-1 b] over integers.  Pricing is
 cyclic, and the leaving row comes from the lexicographic ratio test of
 Dantzig, Orden and Wolfe (1955), which rules out cycling under any
 entering rule.  The verdicts do not depend on the pivot rule; the
@@ -31,8 +33,8 @@ solution or certificate returned may.
 
 On either route every returned witness is re-checked against all
 constraints, and every certificate is re-verified, before being
-returned.  The re-checks scale the rationals to integers and raise
-`VerificationError` on failure, also under `python -O`.
+returned.  The re-checks sum over the rows' entries in integers and
+raise `VerificationError` on failure, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -54,32 +56,39 @@ __all__ = [
 ]
 
 
-def _row(a, b, length):
-    """(a, b) as an int tuple and an int, by the rule of `LinearSystem`."""
+def _row(a, b, num_vars):
+    """(a, b) as (variable, int) entries and an int, by the rule of `LinearSystem`."""
     # A tuple is built from a list: built from a generator, it is allocated
     # at a guessed size and resized, which moves it between CPython's
     # per-size tuple free lists, and LP rows of many lengths then leave
     # megabytes parked in those lists.
     a = a if type(a) is tuple else tuple([*a])
-    if len(a) != length:
-        raise ValueError(f"expected vector of length {length}, got {len(a)}")
-    if type(b) is int and all([type(v) is int for v in a]):
+    ints, seen = type(b) is int, set()
+    for v, c in a:
+        if type(v) is not int or not 0 <= v < num_vars:
+            raise ValueError(f"variable index {v!r} is not an int in range({num_vars})")
+        if v in seen:
+            raise ValueError(f"variable index {v} repeats within a row")
+        seen.add(v)
+        ints = ints and type(c) is int
+    if ints:
         return a, b
-    *ints, b = scaled_to_integers([Q(v) for v in (*a, b)])[0]
-    return tuple(ints), b
+    *scaled, b = scaled_to_integers([*[Q(c) for _, c in a], Q(b)])[0]
+    return tuple([(v, c) for (v, _), c in zip(a, scaled)]), b
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Exact linear constraint system.
+    """Exact linear constraint system over sparse rows.
 
-    equalities: (coeffs, rhs) meaning <coeffs, x> = rhs
-    inequalities: (coeffs, rhs) meaning <coeffs, x> >= rhs
+    equalities: (entries, rhs) meaning sum of c * x_v over (v, c) in entries = rhs
+    inequalities: (entries, rhs) meaning that sum >= rhs
 
-    Every stored row is all-int: an all-int tuple row is kept as given, and
-    any other row is multiplied by the lcm of its denominators, which keeps
-    its solution set.  A Farkas certificate refers to the stored rows (in
-    this package, always the caller's own).  The objective is kept as Qs.
+    Each v is an int in range(num_vars), once per row.  Every stored row is
+    all-int: an all-int tuple of entries is kept as the given object, and any
+    other row is multiplied by the lcm of its denominators, which keeps its
+    solution set.  A Farkas certificate refers to the stored rows (in this
+    package, always the caller's own).  The objective is dense, as Qs.
     """
 
     num_vars: int
@@ -90,10 +99,9 @@ class LinearSystem:
 
     def __post_init__(self):
         V = self.num_vars
-        eqs = tuple([_row(a, b, V) for a, b in self.equalities])
-        ineqs = tuple([_row(a, b, V) for a, b in self.inequalities])
-        object.__setattr__(self, "equalities", eqs)
-        object.__setattr__(self, "inequalities", ineqs)
+        for name in ("equalities", "inequalities"):
+            rows = tuple([_row(a, b, V) for a, b in getattr(self, name)])
+            object.__setattr__(self, name, rows)
         if self.objective is not None:
             c = tuple([Q(v) for v in self.objective])
             if len(c) != V:
@@ -164,9 +172,9 @@ def _eliminate(row, den, f, prow, pden, support):
 class _Tableau:
     """Revised phase-1 simplex for A z = b, z >= 0 with b >= 0.
 
-    It takes `cols`, the n columns of A, and `rhs`, the m entries of b,
-    all ints.  m artificial columns form the initial basis B.  Column j of
-    A is stored once, sparse, as (row, value) pairs.  Only
+    It takes `cols`, the n columns of A, each a sequence of (row, value)
+    entries and kept as given, and `rhs`, the m entries of b, all ints.
+    m artificial columns form the initial basis B.  Only
     [B^-1 | B^-1 b] is kept, row i as m+1 integer numerators over one
     positive row denominator den[i], with the cost row over the
     artificials and the rhs, as numerators over cden.  Each step prices
@@ -186,7 +194,7 @@ class _Tableau:
     def __init__(self, cols, rhs):
         self.m = m = len(rhs)
         self.n = len(cols)
-        self.cols = [[(i, v) for i, v in enumerate(col) if v] for col in cols]
+        self.cols = cols
         self.T = []
         for i, b in enumerate(rhs):
             row = [0] * (m + 1)
@@ -279,17 +287,16 @@ class _Tableau:
 
 
 def _check_solution(system, x):
-    """Exact check of x against every row, with x and the right-hand sides
-    scaled by the lcm L of x's denominators; zero terms add nothing."""
+    """Exact check of x against every row, summed over the row's entries,
+    with x and the right-hand sides scaled by the lcm L of x's denominators."""
     if system.nonnegative_vars and any(xi < 0 for xi in x):
         return False
     ints, L = scaled_to_integers(x)
-    support = [(v, xv) for v, xv in enumerate(ints) if xv]
     for a, b in system.equalities:
-        if sum([a[v] * xv for v, xv in support]) != b * L:
+        if sum([c * ints[v] for v, c in a]) != b * L:
             return False
     for a, b in system.inequalities:
-        if sum([a[v] * xv for v, xv in support]) < b * L:
+        if sum([c * ints[v] for v, c in a]) < b * L:
             return False
     return True
 
@@ -300,8 +307,8 @@ def verify_certificate(system, cert):
     The multipliers must combine the rows to 0 (to <= 0 componentwise when
     the variables are non-negative) and the right-hand sides to a positive
     number.  They are scaled to integers by the lcm of their denominators,
-    which keeps every sign.  Zero multipliers and zero coefficients are
-    skipped: they add exactly 0.
+    which keeps every sign.  Each row adds over its entries; zero
+    multipliers are skipped, as they add exactly 0.
     """
     n_eq, n_ineq = len(system.equalities), len(system.inequalities)
     if len(cert.lam) != n_ineq or len(cert.beta) != n_eq:
@@ -313,9 +320,8 @@ def verify_certificate(system, cert):
     total = 0
     for (a, b), mult in zip(system.equalities + system.inequalities, mults):
         if mult:
-            for v, av in enumerate(a):
-                if av:
-                    combo[v] += mult * av
+            for v, c in a:
+                combo[v] += mult * c
             total += mult * b
     if system.nonnegative_vars:
         if any(c > 0 for c in combo):
@@ -328,17 +334,18 @@ def verify_certificate(system, cert):
 def _feasibility_direct(system):
     """Phase 1 on the standard form of a system over non-negative variables.
 
-    A is transposed once, negating row i where its right-hand side is
-    negative (sign_i = -1); inequality i adds a surplus column whose one
-    non-zero is -sign_i.
+    One pass over the rows' entries builds the columns of A, negating row
+    i where its right-hand side is negative (sign_i = -1); inequality i
+    adds a surplus column whose one entry is -sign_i.
     """
     n_eq = len(system.equalities)
     rows = system.equalities + system.inequalities
     signs = [-1 if b < 0 else 1 for _, b in rows]
-    cols = [[s * v for s, v in zip(signs, col)] for col in zip(*[a for a, _ in rows])]
-    for i in range(n_eq, len(rows)):
-        cols.append([0] * len(rows))
-        cols[-1][i] = -signs[i]
+    cols = [[] for _ in range(system.num_vars)]
+    for i, ((a, _), sign) in enumerate(zip(rows, signs)):
+        for v, c in a:
+            cols[v].append((i, sign * c))
+    cols += [[(i, -signs[i])] for i in range(n_eq, len(rows))]
     tab = _Tableau(cols, [s * b for s, (_, b) in zip(signs, rows)])
     if tab.phase1() == 0:
         x = tuple(tab.solution()[: system.num_vars])
@@ -354,13 +361,14 @@ def _feasibility_via_dual(system):
     """Search for a Farkas certificate; its absence yields a primal witness.
 
     The certificate system has one row per variable plus one for the
-    right-hand sides, and one non-negative column (*a, b) per inequality
-    and two per equality (beta = beta+ - beta-).
+    right-hand sides, and one non-negative column, the row's entries and
+    (V, b), per inequality and two per equality (beta = beta+ - beta-).
     """
     V, n_ineq = system.num_vars, len(system.inequalities)
-    cols = [[*a, b] for a, b in system.inequalities]  # length V+1 each
+    cols = [(*a, (V, b)) if b else a for a, b in system.inequalities]
     for a, b in system.equalities:
-        cols += [[*a, b], [-x for x in (*a, b)]]
+        col = (*a, (V, b)) if b else a
+        cols += [col, [(i, -x) for i, x in col]]
     tab = _Tableau(cols, [0] * V + [1])
     if tab.phase1() == 0:
         z = tab.solution()
@@ -407,25 +415,19 @@ def maximize(system):
     n_eq = len(system.equalities)
     rows = system.equalities + system.inequalities
     R = len(rows)
-
-    def unit(k):
-        e = [0] * (V + R)
-        e[k] = 1
-        return e
-
-    free = [0] * R
-    eqs = [([*a, *free], b) for a, b in system.equalities]
-    ineqs = [([*a, *free], b) for a, b in system.inequalities]
-    ineqs += [(unit(V + r), 0) for r in range(n_eq, R)]
+    # Over the V + R variables (x, m), a row of the system keeps its entries.
+    eqs, ineqs = list(system.equalities), list(system.inequalities)
+    ineqs += [(((V + r, 1),), 0) for r in range(n_eq, R)]
     if system.nonnegative_vars:
-        ineqs += [(unit(j), 0) for j in range(V)]
+        ineqs += [(((j, 1),), 0) for j in range(V)]
     for j in range(V):
-        grad = [0] * V + [a[j] for a, _ in rows]
+        grad = [(V + r, x) for r, (a, _) in enumerate(rows) for v, x in a if v == j]
         if system.nonnegative_vars:
-            ineqs.append(([-g for g in grad], c[j]))
+            ineqs.append(([(k, -g) for k, g in grad], c[j]))
         else:
             eqs.append((grad, -c[j]))
-    ineqs.append(([*c, *(b for _, b in rows)], 0))
+    gap = [(j, cj) for j, cj in enumerate(c) if cj]
+    ineqs.append((gap + [(V + r, b) for r, (_, b) in enumerate(rows) if b], 0))
     dual = solve_feasibility(
         LinearSystem(V + R, equalities=tuple(eqs), inequalities=tuple(ineqs))
     )

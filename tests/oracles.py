@@ -10,11 +10,13 @@ independently of the repeated realizability of `pathsystems.metrize.closure`.
 over `closure_per_triple`, with one LP per node and no cut reuse: the
 same tree as `pathsystems.metrize.integral_witness_search`, decided
 without its stored Farkas rays and solutions.  `FractionTableau` is the
-simplex tableau over rationals that the integer
+dense simplex tableau over rationals that the sparse integer
 `pathsystems.ratlp._Tableau` replaced, with the same phase-1 pivot rule
 and a phase 2 by Bland's rule;
 `maximize_two_phase` runs the two-phase simplex on it, a second way to
 reach the optimum that `pathsystems.ratlp.maximize` proves by LP duality.
+`sparse` turns dense rows into the (variable, coefficient) rows of
+`pathsystems.ratlp.LinearSystem`.
 `graph_diameter` measures a graph by breadth-first search, apart from the
 Floyd-Warshall table of `pathsystems.metrize.induce_system`, which decides
 connectivity there.  `is_intersection_closed` checks every pair of
@@ -56,6 +58,7 @@ from pathsystems.metrize import (
     InduceResult,
     SearchOutcome,
     _delta_table,
+    delta,
     is_realizable,
     is_strictly_metric,
     resume_signature,
@@ -63,6 +66,12 @@ from pathsystems.metrize import (
 )
 from pathsystems.ratlp import LinearSystem, OptimizeResult, solve_feasibility
 from pathsystems.rational import ONE, Q, ZERO, ensure
+
+
+def sparse(rows):
+    """Dense (coefficients, rhs) rows as `LinearSystem` rows: each row's
+    non-zero coefficients as (variable, coefficient) entries."""
+    return tuple((tuple((v, c) for v, c in enumerate(a) if c), b) for a, b in rows)
 
 
 def _nonincreasing_rows(bounds, t):
@@ -321,13 +330,12 @@ def closure_per_triple(S):
 
 
 def _completion_feasible(n, triples, residual):
-    """Exists y >= 0 over `triples` with sum y_t Delta_t = residual?"""
-    table = _delta_table(n)
-    cols = [table[t] for t in triples]
-    # Rows are tuples built from lists, kept as given by `LinearSystem`: a tuple
-    # built from a generator is resized as it grows, and LP rows of many lengths
-    # then park megabytes in CPython's per-size tuple free lists.
-    eqs = tuple((tuple([col[i] for col in cols]), r) for i, r in enumerate(residual))
+    """Exists y >= 0 over `triples` with sum y_t Delta_t = residual?
+
+    The rows are the transpose of the dense columns `delta(t, n)`.
+    """
+    cols = [delta(t, n) for t in triples]
+    eqs = sparse(([col[i] for col in cols], r) for i, r in enumerate(residual))
     system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
     return solve_feasibility(system).feasible
 
@@ -351,9 +359,8 @@ def integral_witness_search_per_candidate(S, time_budget=None):
     target = triple_signature(S)
     m = len(S)
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    deltas = _delta_table(n)
     within = closure_per_triple(S).triples
-    candidates = [t for t in deltas if t in within]
+    candidates = [t for t in _delta_table(n) if t in within]
     nodes = 0
 
     def recurse(ix, remaining, residual):
@@ -376,7 +383,7 @@ def integral_witness_search_per_candidate(S, time_budget=None):
         if not _completion_feasible(n, candidates[ix:], residual):
             return None
         t = candidates[ix]
-        d = deltas[t]
+        d = delta(t, n)
         for c in range(remaining + 1):
             if c:
                 assignment[t] = c
@@ -406,10 +413,10 @@ def integral_witness_search_per_candidate(S, time_budget=None):
 class FractionTableau:
     """Dense tableau for min c.z s.t. A z = b, z >= 0 with b >= 0.
 
-    Takes the n columns of A and the m entries of b, as
-    `pathsystems.ratlp._Tableau` does, and stores A by rows.  m artificial
-    columns are appended and form the initial basis.  Input entries (ints
-    or Q) become Q on entry, so every entry is a Q.
+    Takes the n columns of A as (row, value) entries and the m entries of
+    b, as `pathsystems.ratlp._Tableau` does, and stores A by dense rows.
+    m artificial columns are appended and form the initial basis.  Input
+    entries (ints or Q) become Q on entry, so every entry is a Q.
     """
 
     def __init__(self, cols, rhs):
@@ -420,7 +427,10 @@ class FractionTableau:
         for i in range(self.m):
             art = [ZERO] * self.m
             art[i] = ONE
-            self.T.append([Q(col[i]) for col in cols] + art + [Q(rhs[i])])
+            self.T.append([ZERO] * self.n + art + [Q(rhs[i])])
+        for j, col in enumerate(cols):
+            for i, v in col:
+                self.T[i][j] = Q(v)
         self.basis = [self.n + i for i in range(self.m)]
         # Phase-1 reduced costs: c = (0..0, 1..1); y = all-ones.
         self.cost = [ZERO] * (self.width + 1)
@@ -566,20 +576,27 @@ def maximize_two_phase(system):
     def split(a):
         return list(a) if nonneg else [*a, *(-x for x in a)]
 
+    def dense(entries):
+        a = [0] * V
+        for v, x in entries:
+            a[v] = x
+        return a
+
     rows, rhs = [], []
     for idx, (a, b) in enumerate(system.equalities + system.inequalities):
         surplus = [0] * n_ineq
         if idx >= n_eq:
             surplus[idx - n_eq] = -1
         sign = -1 if b < 0 else 1
-        rows.append([sign * x for x in split(a) + surplus])
+        rows.append([sign * x for x in split(dense(a)) + surplus])
         rhs.append(sign * b)
     if not rows:
         # Unconstrained: bounded only if no coordinate can raise c.x.
         if any(cj > 0 if nonneg else cj != 0 for cj in c):
             return OptimizeResult("unbounded")
         return OptimizeResult("optimal", value=ZERO, solution=(ZERO,) * V)
-    tab = FractionTableau(list(zip(*rows)), rhs)
+    cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*rows)]
+    tab = FractionTableau(cols, rhs)
     if tab.phase1() != 0:
         return OptimizeResult("infeasible")
     tab.drive_out_artificials()

@@ -73,6 +73,7 @@ from oracles import (
     is_boxed_plane_partition,
     is_intersection_closed,
     signature_separation_experiment,
+    sparse,
     sym_brute,
 )
 
@@ -169,7 +170,7 @@ def strict_lp_feasible(sys):
             ineqs.append((row, 1))
     for i in range(len(pairs)):
         ineqs.append(([1 if j == i else 0 for j in range(len(pairs))], 1))
-    system = LinearSystem(len(pairs), equalities=tuple(eqs), inequalities=tuple(ineqs))
+    system = LinearSystem(len(pairs), equalities=sparse(eqs), inequalities=sparse(ineqs))
     return solve_feasibility(system).feasible
 
 

@@ -304,6 +304,7 @@ def test_verify_budget_inconclusive(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["integral_witness"] == "inconclusive"
+    assert doc["nodes_explored"] == 0
     assert doc["fractional_identity"] is True
 
 

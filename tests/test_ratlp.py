@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,9 +10,10 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import FractionTableau, maximize_two_phase
+from oracles import FractionTableau, maximize_two_phase, sparse
 from pathsystems import metrize, ratlp
 from pathsystems.generators import enumerate_monotone, monotone_system
 from pathsystems.rational import Q
@@ -24,11 +26,11 @@ from pathsystems.ratlp import (
 
 
 def satisfies(system, x):
-    for coeffs, rhs in system.equalities:
-        if sum(c * v for c, v in zip(coeffs, x)) != rhs:
+    for entries, rhs in system.equalities:
+        if sum(c * x[v] for v, c in entries) != rhs:
             return False
-    for coeffs, rhs in system.inequalities:
-        if sum(c * v for c, v in zip(coeffs, x)) < rhs:
+    for entries, rhs in system.inequalities:
+        if sum(c * x[v] for v, c in entries) < rhs:
             return False
     if system.nonnegative_vars and any(v < 0 for v in x):
         return False
@@ -37,24 +39,26 @@ def satisfies(system, x):
 
 def test_feasible_equalities():
     # x + y = 3, x - y = 1.
-    system = LinearSystem(2, equalities=(((1, 1), 3), ((1, -1), 1)))
+    system = LinearSystem(2, equalities=sparse((((1, 1), 3), ((1, -1), 1))))
     res = solve_feasibility(system)
     assert res.feasible and res.solution == (Q(2), Q(1))
 
 
 def test_infeasible_has_certificate():
     # x + y = 1 and x + y >= 2.
-    system = LinearSystem(2, equalities=(((1, 1), 1),), inequalities=(((1, 1), 2),))
+    system = LinearSystem(
+        2, equalities=sparse((((1, 1), 1),)), inequalities=sparse((((1, 1), 2),))
+    )
     res = solve_feasibility(system)
     assert not res.feasible
     assert verify_certificate(system, res.certificate)
 
 
 def test_nonnegative_route():
-    system = LinearSystem(2, equalities=(((1, 1), 1),), nonnegative_vars=True)
+    system = LinearSystem(2, equalities=sparse((((1, 1), 1),)), nonnegative_vars=True)
     res = solve_feasibility(system)
     assert res.feasible and satisfies(system, res.solution)
-    system = LinearSystem(2, equalities=(((1, 1), -1),), nonnegative_vars=True)
+    system = LinearSystem(2, equalities=sparse((((1, 1), -1),)), nonnegative_vars=True)
     res = solve_feasibility(system)
     assert not res.feasible
     assert verify_certificate(system, res.certificate)
@@ -64,7 +68,7 @@ def test_dual_route_many_rows():
     # Free variables take the certificate-search route, here with more
     # inequality rows than variables.
     rows = tuple(((1, k), Q(k)) for k in range(0, 6))
-    system = LinearSystem(2, inequalities=rows)
+    system = LinearSystem(2, inequalities=sparse(rows))
     res = solve_feasibility(system)
     assert res.feasible and satisfies(system, res.solution)
 
@@ -73,7 +77,7 @@ def test_maximize_optimal():
     # max x + y s.t. x <= 2, y <= 3 (as -x >= -2, -y >= -3), x,y >= 0.
     system = LinearSystem(
         2,
-        inequalities=(((-1, 0), -2), ((0, -1), -3)),
+        inequalities=sparse((((-1, 0), -2), ((0, -1), -3))),
         objective=(1, 1),
         nonnegative_vars=True,
     )
@@ -90,7 +94,7 @@ def test_maximize_unbounded():
 
 def test_maximize_infeasible():
     system = LinearSystem(
-        1, equalities=(((1,), -1),), objective=(1,), nonnegative_vars=True
+        1, equalities=sparse((((1,), -1),)), objective=(1,), nonnegative_vars=True
     )
     assert maximize(system).status == "infeasible"
 
@@ -105,7 +109,7 @@ def test_maximize_without_rows_over_nonnegative_vars():
 def test_exact_rationals_no_drift():
     # A system engineered to need fractional pivots.
     system = LinearSystem(
-        2, equalities=(((3, 7), 1), ((2, -5), 1)), nonnegative_vars=False
+        2, equalities=sparse((((3, 7), 1), ((2, -5), 1))), nonnegative_vars=False
     )
     res = solve_feasibility(system)
     assert res.feasible
@@ -126,8 +130,8 @@ def integer_systems(draw, max_vars=10, max_rows=30):
     ineqs = draw(st.lists(row, max_size=max_rows - len(eqs)))
     return LinearSystem(
         nv,
-        equalities=tuple(eqs),
-        inequalities=tuple(ineqs),
+        equalities=sparse(eqs),
+        inequalities=sparse(ineqs),
         nonnegative_vars=draw(st.booleans()),
     )
 
@@ -146,7 +150,7 @@ def as_rationals(system):
     """The same system with every coefficient and right-hand side a Q."""
 
     def rows(pairs):
-        return tuple((tuple(Q(x) for x in a), Q(b)) for a, b in pairs)
+        return tuple((tuple((v, Q(x)) for v, x in a), Q(b)) for a, b in pairs)
 
     return LinearSystem(
         system.num_vars,
@@ -161,26 +165,44 @@ def as_rationals(system):
 def test_int_and_rational_entries_give_equal_results(system):
     as_q = as_rationals(system)
     stored = as_q.equalities + as_q.inequalities
-    assert all(type(x) is int for a, b in stored for x in (*a, b))
+    assert all(type(x) is int for a, b in stored for x in (*[c for _, c in a], b))
     assert (as_q.equalities, as_q.inequalities) == (system.equalities, system.inequalities)
     assert solve_feasibility(system) == solve_feasibility(as_q)
 
 
 def test_linear_system_keeps_ints_and_converts_the_rest():
-    int_row = (1, 0, -1, 0)
+    int_row = ((0, 1), (2, -1))
     system = LinearSystem(
         4,
-        equalities=(((1, Q(1, 2), 0.5, "1/2"), 3),),
-        inequalities=(((0, -1, 2, 7), Q(1, 2)), (int_row, 2)),
+        equalities=((((0, 1), (1, Q(1, 2)), (2, 0.5), (3, "1/2")), 3),),
+        inequalities=((((1, -1), (2, 2), (3, 7)), Q(1, 2)), (int_row, 2)),
         objective=(2, 0.5, "1/2", Q(1, 2)),
     )
     assert system.inequalities[1][0] is int_row
-    assert system.equalities == (((2, 1, 1, 1), 6),)
-    assert system.inequalities[0] == ((0, -2, 4, 14), 1)
+    assert system.equalities == ((((0, 2), (1, 1), (2, 1), (3, 1)), 6),)
+    assert system.inequalities[0] == (((1, -2), (2, 4), (3, 14)), 1)
     stored = system.equalities + system.inequalities
-    assert all(type(x) is int for a, b in stored for x in (*a, b))
+    assert all(type(x) is int for a, b in stored for entry in a for x in (*entry, b))
     assert all(type(x) is Q for x in system.objective)
     assert system.objective == (2, Q(1, 2), Q(1, 2), Q(1, 2))
+
+
+@pytest.mark.parametrize(
+    "entries, index",
+    [
+        (((True, 1),), "True"),
+        ((("0", 1),), "'0'"),
+        (((1.0, 1),), "1.0"),
+        (((-1, 1),), "-1"),
+        (((3, 1),), "3"),
+        (((0, 1), (2, 1), (0, -1)), "0"),
+    ],
+    ids=["bool", "str", "float", "negative", "num_vars", "repeated"],
+)
+def test_linear_system_refuses_a_bad_variable_index(entries, index):
+    for rows in ({"equalities": ((entries, 0),)}, {"inequalities": ((entries, Q(1, 2)),)}):
+        with pytest.raises(ValueError, match=re.escape(f"variable index {index} ")):
+            LinearSystem(3, **rows)
 
 
 small_rationals = st.builds(Q, small_entries, st.sampled_from([1, 1, 1, 2, 3]))
@@ -189,7 +211,7 @@ small_rationals = st.builds(Q, small_entries, st.sampled_from([1, 1, 1, 2, 3]))
 @st.composite
 def rational_system_args(draw, with_objective=False):
     """The `LinearSystem` arguments of a rational system of up to 5
-    variables and 14 rows, its rows as drawn.
+    variables and 14 rows, its rows as drawn, made sparse by `sparse`.
 
     An equality may be repeated with a factor -2, -1 or 2, so the
     artificial of the copy can stay basic at level 0 after phase 1 (the
@@ -208,8 +230,8 @@ def rational_system_args(draw, with_objective=False):
         objective = tuple(draw(st.lists(small_rationals, min_size=nv, max_size=nv)))
     return dict(
         num_vars=nv,
-        equalities=tuple(eqs),
-        inequalities=tuple(ineqs),
+        equalities=sparse(eqs),
+        inequalities=sparse(ineqs),
         objective=objective,
         nonnegative_vars=draw(st.booleans()),
     )
@@ -220,9 +242,11 @@ def rational_systems(with_objective=False):
 
 
 def integral_rows_as_ints(rows):
-    """The rows, each with all-integral entries given as an int tuple and an int."""
+    """The rows, each with all-integral coefficients given as int entries and an int."""
     return tuple(
-        (tuple([int(x) for x in a]), int(b)) if all(x.denominator == 1 for x in (*a, b)) else (a, b)
+        (tuple([(v, int(x)) for v, x in a]), int(b))
+        if all(x.denominator == 1 for x in (*[x for _, x in a], b))
+        else (a, b)
         for a, b in rows
     )
 
@@ -237,7 +261,8 @@ def test_linear_system_scales_each_rational_row_once(args):
         system.equalities + system.inequalities,
     )
     for (a, b), (stored_a, stored_b) in pairs:
-        row, stored = (*a, b), (*stored_a, stored_b)
+        assert [v for v, _ in stored_a] == [v for v, _ in a]
+        row, stored = (*[x for _, x in a], b), (*[x for _, x in stored_a], stored_b)
         assert all(type(x) is int for x in stored)
         if all(type(x) is int for x in row):
             assert stored_a is a and stored_b == b
@@ -253,9 +278,9 @@ def test_linear_system_scales_each_rational_row_once(args):
 # Systems over no variables, with free and with non-negative variables:
 # the direct route's tableau has only surplus columns, and the via-dual
 # route's columns have length 1.  0 >= -1 holds; 0 >= 1/2 fails.
-NO_VARIABLES = LinearSystem(0, inequalities=(((), -1),))
+NO_VARIABLES = LinearSystem(0, inequalities=sparse((((), -1),)))
 NO_VARIABLES_INFEASIBLE = LinearSystem(
-    0, equalities=(((), 0),), inequalities=(((), -1), ((), Q(1, 2)))
+    0, equalities=sparse((((), 0),)), inequalities=sparse((((), -1), ((), Q(1, 2))))
 )
 ZERO_VARIABLE_EXAMPLES = [
     dataclasses.replace(system, nonnegative_vars=nonnegative)
@@ -296,8 +321,8 @@ def pivots(tableau, system):
 # The rows are stored scaled by 2 and by 6, to (1, 2) = 2 and (2, -6) >= 1.
 MIXED_DENOMINATORS = LinearSystem(
     2,
-    equalities=(((Q(1, 2), 1), 1),),
-    inequalities=(((Q(1, 3), -1), Q(1, 6)),),
+    equalities=sparse((((Q(1, 2), 1), 1),)),
+    inequalities=sparse((((Q(1, 3), -1), Q(1, 6)),)),
     nonnegative_vars=True,
 )
 
@@ -392,8 +417,8 @@ def test_rechecks_reject_a_trillionth_on_both_routes():
         # Feasible: x + 2y = 3, x - y >= 0.
         system = LinearSystem(
             2,
-            equalities=(((1, 2), 3),),
-            inequalities=(((1, -1), 0),),
+            equalities=sparse((((1, 2), 3),)),
+            inequalities=sparse((((1, -1), 0),)),
             nonnegative_vars=nonnegative,
         )
         x = solve_feasibility(system).solution
@@ -403,8 +428,8 @@ def test_rechecks_reject_a_trillionth_on_both_routes():
         # Infeasible: x + y = 1 and x + y >= 2.
         system = LinearSystem(
             2,
-            equalities=(((1, 1), 1),),
-            inequalities=(((1, 1), 2),),
+            equalities=sparse((((1, 1), 1),)),
+            inequalities=sparse((((1, 1), 2),)),
             nonnegative_vars=nonnegative,
         )
         cert = solve_feasibility(system).certificate
@@ -433,13 +458,14 @@ O_SCRIPT = textwrap.dedent(
     from pathsystems.ratlp import LinearSystem, solve_feasibility
 
     assert False, "asserts must be stripped"
+    x, y = ((0, 1),), ((0, 1), (1, 1))  # the rows x and x + y
     direct = [  # non-negative variables: the direct route
-        LinearSystem(2, equalities=(((1, 1), 3),), nonnegative_vars=True),
-        LinearSystem(1, equalities=(((1,), 1),), inequalities=(((1,), 2),), nonnegative_vars=True),
+        LinearSystem(2, equalities=((y, 3),), nonnegative_vars=True),
+        LinearSystem(1, equalities=((x, 1),), inequalities=((x, 2),), nonnegative_vars=True),
     ]
     via_dual = [  # free variables: the via-dual route
-        LinearSystem(1, inequalities=(((1,), 1), ((1,), 2), ((-1,), -5))),
-        LinearSystem(1, inequalities=(((1,), 1), ((1,), 2), ((-1,), -1))),
+        LinearSystem(1, inequalities=((x, 1), (x, 2), (((0, -1),), -5))),
+        LinearSystem(1, inequalities=((x, 1), (x, 2), (((0, -1),), -1))),
     ]
     def corrupt(read):
         def wrong(tab):
