@@ -1,17 +1,17 @@
 """Metric and strict-metric realizability of path systems and triple sets.
 
 A consistent path system is (strictly) metric when its paths are the
-(unique) shortest paths of some positive edge weighting.  Both properties
-reduce to exact rational linear feasibility over one variable per vertex
-pair, with one sparse row Delta_t per pointed triple t taken from a per-n
-table: equality rows for colinear triples, inequality rows for the rest.  Strict
-metrizability is the realizability of the system's colinear triple set,
-decided by `is_realizable`.  Infeasibility converts, via the Farkas
-certificate, into a non-negative combination of triple vectors witnessing
-that no pseudometric has exactly the given colinear triples.  The closure
-of a triple set is reached by betweenness propagation and repeated
+(unique) shortest paths of some positive edge weighting.  One exact LP,
+`build_lp(S)`, decides whether a triple set S is exactly the colinear set
+of a pseudometric: one variable per vertex pair, one sparse row Delta_t
+per pointed triple t from a per-n table, = 0 on S and >= 1 elsewhere.
+Infeasibility converts, via the Farkas certificate, into a non-negative
+combination of triple vectors witnessing that no pseudometric has.  Strict
+metrizability is the realizability of the colinear set.  The closure of a
+triple set is reached by betweenness propagation and repeated
 realizability: each propagated triple and each witness's support is
-forced into the set until the set is realizable.
+forced into the set until the set is realizable.  A system is metric when
+the closure of its colinear set forces no distance to 0.
 """
 
 from __future__ import annotations
@@ -263,57 +263,57 @@ class SearchOutcome:
 # ---------------------------------------------------------------------------
 
 
-def build_lp(sys):
-    """LP of the metric test: one variable per vertex pair.
-
-    Delta_t = 0 on the colinear triples, Delta_t >= 0 on the rest, and
-    x_{a,b} >= 1 on every pair.  Raises ValueError on an inconsistent system.
-    """
-    colinear = colinear_triples(sys).triples
-    table = _delta_table(sys.n)
-    npairs = len(all_pairs(sys.n))
-    eqs = [(row, 0) for t, row in table.items() if t in colinear]
-    ineqs = [(row, 0) for t, row in table.items() if t not in colinear]
-    ineqs += [(((i, 1),), 1) for i in range(npairs)]
-    return LinearSystem(num_vars=npairs, equalities=tuple(eqs), inequalities=tuple(ineqs))
+def build_lp(S):
+    """Realizability LP of a triple set S: one variable per vertex pair,
+    Delta_t = 0 on S and Delta_t >= 1 on every other pointed triple, with
+    rows in `_delta_table` order."""
+    table = _delta_table(S.n)
+    return LinearSystem(
+        num_vars=len(_pair_index(S.n)),
+        equalities=tuple([(row, 0) for t, row in table.items() if t in S.triples]),
+        inequalities=tuple([(row, 1) for t, row in table.items() if t not in S.triples]),
+    )
 
 
-def _metric_from_solution(n, x):
-    return Pseudometric(n, dict(zip(all_pairs(n), x)))
-
-
-def _farkas_to_alpha(n, colinear, eq_triples, ineq_triples, cert):
-    """Rescale a Farkas certificate into a triple-combination witness.
+def _farkas_to_alpha(S, cert):
+    """Rescale a Farkas certificate of `build_lp(S)` into a
+    triple-combination witness.
 
     From sum(lam_t Delta_t) + sum(beta_s Delta_s) = 0 with lam >= 0 and
     positive combined rhs, rescale so every -beta_s <= 1 and set
-    alpha_s = 1 + theta*beta_s on colinear triples, alpha_t = theta*lam_t
-    elsewhere.
+    alpha_s = 1 + theta*beta_s on S, alpha_t = theta*lam_t elsewhere.
     """
-    beta_neg = [-b for b in cert.beta]  # multipliers on sum over colinear set
+    table = _delta_table(S.n)
+    beta_neg = [-b for b in cert.beta]  # multipliers on sum over S
     top = max([b for b in beta_neg if b > 0], default=ZERO)
     theta = ONE / top if top > 1 else ONE
     alpha = {}
-    for t, lam in zip(ineq_triples, cert.lam):
+    for t, lam in zip([t for t in table if t not in S.triples], cert.lam):
         if lam:
             alpha[t] = theta * lam
-    for s, b in zip(eq_triples, beta_neg):
+    for s, b in zip([t for t in table if t in S.triples], beta_neg):
         val = ONE - theta * b
         if val:
             alpha[s] = val
     witness = WitnessAlpha(alpha)
-    ensure(verify_witness(TripleSet(n, frozenset(colinear)), witness), "triple-combination witness")
+    ensure(verify_witness(S, witness), "triple-combination witness")
     return witness
 
 
 def is_metric(sys):
-    """The path system's paths are shortest under some positive weights."""
-    res = solve_feasibility(build_lp(sys))
-    if not res.feasible:
-        return None
-    rho = _metric_from_solution(sys.n, res.solution)
-    ensure(rho.is_metric(), "metric LP solution is a metric")
-    return rho
+    """A metric under which every path is a shortest path, or None.
+
+    The closure's last pseudometric rho is tight exactly on cl(C), C the
+    colinear set.  A positive rho is a metric tight on C: the answer.  A
+    zero rho(a, b) puts {a,x;b} and {b,x;a} in cl(C); every pseudometric
+    tight on C is tight on both, so it has d(a, b) = 0, as Delta_{a,x;b} +
+    Delta_{b,x;a} = 2 e_{a,b}.  With n < 3 there is no third vertex, and
+    every distance is 1.  Raises ValueError on an inconsistent system.
+    """
+    if sys.n < 3:
+        return Pseudometric(sys.n, dict.fromkeys(all_pairs(sys.n), 1))
+    _, rho = _closure(colinear_triples(sys), math.inf)
+    return rho if rho.is_metric() else None
 
 
 def is_strictly_metric(sys):
@@ -414,22 +414,12 @@ def induce_system(w):
 
 def is_realizable(S):
     """Is S exactly the colinear triple set of some pseudometric?"""
-    n = S.n
-    table = _delta_table(n)
-    eq_triples = [t for t in table if t in S.triples]
-    ineq_triples = [t for t in table if t not in S.triples]
-    system = LinearSystem(
-        num_vars=len(all_pairs(n)),
-        equalities=tuple((table[t], 0) for t in eq_triples),
-        inequalities=tuple((table[t], 1) for t in ineq_triples),
-    )
-    res = solve_feasibility(system)
+    res = solve_feasibility(build_lp(S))
     if res.feasible:
-        rho = _metric_from_solution(n, res.solution)
+        rho = Pseudometric(S.n, dict(zip(all_pairs(S.n), res.solution)))
         ensure(triples_of_metric(rho).triples == S.triples, "pseudometric realizes the triple set")
         return RealizabilityResult(True, metric=rho)
-    witness = _farkas_to_alpha(n, S.triples, eq_triples, ineq_triples, res.certificate)
-    return RealizabilityResult(False, witness=witness)
+    return RealizabilityResult(False, witness=_farkas_to_alpha(S, res.certificate))
 
 
 def verify_witness(S, alpha):
@@ -487,6 +477,7 @@ def integral_witness_search(S, time_budget=None):
     node; "not_found" is an exhaustive proof, "inconclusive" means the
     wall-clock budget (seconds) ran out; the budget is checked before
     each realizability round of the search's closure and at every node.
+    A NaN or negative budget raises ValueError before any of them.
 
     The candidates are cl(S), in `_delta_table` order.  The closure's last
     pseudometric rho is tight exactly on cl(S), and any y >= 0 with
@@ -507,6 +498,9 @@ def integral_witness_search(S, time_budget=None):
     A reused answer only skips an LP whose verdict it proves, so the tree
     and `nodes` are those of one LP per node.
     """
+    # Every comparison with a NaN deadline is false, so NaN must not pass.
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"time_budget must be non-negative, got {time_budget}")
     n = S.n
     target = triple_signature(S)
     m = len(S)
@@ -544,7 +538,7 @@ def integral_witness_search(S, time_budget=None):
         return None
 
     try:
-        within = _closure(S, deadline).triples
+        within = _closure(S, deadline)[0].triples
         candidates = [t for t in deltas if t in within]
         found = recurse(0, m, list(target), ())
     except _Budget:
@@ -615,12 +609,13 @@ def closure(S):
     joins it.  The first Yes ends the loop: its pseudometric has slack on
     every other triple, so none is forced.  A closed S is returned itself.
     """
-    return _closure(S, math.inf)
+    return _closure(S, math.inf)[0]
 
 
 def _closure(S, deadline):
-    """`closure(S)`; a round of propagation and realizability that would
-    start at the monotonic time `deadline` or later raises `_Budget`."""
+    """`closure(S)` and the pseudometric of its last round, tight exactly
+    on it; a round of propagation and realizability that would start at
+    the monotonic time `deadline` or later raises `_Budget`."""
     current = S
     while True:
         if time.monotonic() >= deadline:
@@ -628,5 +623,5 @@ def _closure(S, deadline):
         current = _betweenness_closure(current)
         res = is_realizable(current)
         if res.realizable:
-            return current
+            return current, res.metric
         current = TripleSet(S.n, current.triples.union(res.witness))

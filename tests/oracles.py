@@ -16,7 +16,10 @@ and a phase 2 by Bland's rule;
 `maximize_two_phase` runs the two-phase simplex on it, a second way to
 reach the optimum that `pathsystems.ratlp.maximize` proves by LP duality.
 `sparse` turns dense rows into the (variable, coefficient) rows of
-`pathsystems.ratlp.LinearSystem`.
+`pathsystems.ratlp.LinearSystem`.  `pair_lp_feasible` decides metric
+(slack 0) and strict metric (slack 1) by one pair-space LP with bound rows
+x_ab >= 1, built from the paths apart from `pathsystems.metrize`, whose
+metric verdict comes from the closure and strict one from realizability.
 `graph_diameter` measures a graph by breadth-first search, apart from the
 Floyd-Warshall table of `pathsystems.metrize.induce_system`, which decides
 connectivity there.  `is_intersection_closed` checks every pair of
@@ -50,6 +53,7 @@ from pathsystems.core import (
     Resume,
     TripleSet,
     all_pairs,
+    all_pointed_triples,
     all_resumes,
     pair,
 )
@@ -72,6 +76,32 @@ def sparse(rows):
     """Dense (coefficients, rhs) rows as `LinearSystem` rows: each row's
     non-zero coefficients as (variable, coefficient) entries."""
     return tuple((tuple((v, c) for v, c in enumerate(a) if c), b) for a, b in rows)
+
+
+def pair_lp_feasible(sys, slack):
+    """Over one variable per pair: Delta_t = 0 for t colinear on the paths,
+    Delta_t >= slack for every other pointed triple, and x_{a,b} >= 1.
+
+    Feasible with slack 0 iff the system is metric, with slack 1 iff it is
+    strictly metric (strictness is scale-invariant).
+    """
+    pairs = all_pairs(sys.n)
+    index = {p: i for i, p in enumerate(pairs)}
+    colinear = {(a, b, c) for (a, b), path in sys.paths.items() for c in path[1:-1]}
+    eqs, ineqs = [], []
+    for a, b, c in all_pointed_triples(sys.n):
+        row = [0] * len(pairs)
+        row[index[pair(a, c)]] += 1
+        row[index[pair(c, b)]] += 1
+        row[index[(a, b)]] -= 1
+        if (a, b, c) in colinear:
+            eqs.append((row, 0))
+        else:
+            ineqs.append((row, slack))
+    for i in range(len(pairs)):
+        ineqs.append(([1 if j == i else 0 for j in range(len(pairs))], 1))
+    system = LinearSystem(len(pairs), equalities=sparse(eqs), inequalities=sparse(ineqs))
+    return solve_feasibility(system).feasible
 
 
 def _nonincreasing_rows(bounds, t):

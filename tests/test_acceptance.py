@@ -17,12 +17,10 @@ from pathsystems import jsonio
 from pathsystems.core import (
     PathSystem,
     TripleSet,
-    all_pairs,
     all_pointed_triples,
     all_resumes,
     colinear_triples,
     is_consistent,
-    pair,
     recover_from_resume,
 )
 from pathsystems.counting import (
@@ -56,7 +54,6 @@ from pathsystems.metrize import (
     verify_witness,
 )
 from pathsystems.rational import Q
-from pathsystems.ratlp import LinearSystem, solve_feasibility
 from pathsystems.vc import (
     NoCompatibleExtension,
     build_maximum_class,
@@ -72,8 +69,8 @@ from oracles import (
     graph_diameter,
     is_boxed_plane_partition,
     is_intersection_closed,
+    pair_lp_feasible,
     signature_separation_experiment,
-    sparse,
     sym_brute,
 )
 
@@ -149,36 +146,11 @@ def test_criterion_05_resume_roundtrip():
     report(5, f"all {total} resumes over all consistent systems on [4] round-trip")
 
 
-def strict_lp_feasible(sys):
-    """Oracle for strict metrizability, built apart from `metrize`.
-
-    Over one variable per pair: Delta_t = 0 for t colinear on the paths,
-    Delta_t >= 1 for every other pointed triple, and x_{a,b} >= 1.
-    """
-    pairs = all_pairs(sys.n)
-    index = {p: i for i, p in enumerate(pairs)}
-    colinear = {(a, b, c) for (a, b), path in sys.paths.items() for c in path[1:-1]}
-    eqs, ineqs = [], []
-    for a, b, c in all_pointed_triples(sys.n):
-        row = [0] * len(pairs)
-        row[index[pair(a, c)]] += 1
-        row[index[pair(c, b)]] += 1
-        row[index[(a, b)]] -= 1
-        if (a, b, c) in colinear:
-            eqs.append((row, 0))
-        else:
-            ineqs.append((row, 1))
-    for i in range(len(pairs)):
-        ineqs.append(([1 if j == i else 0 for j in range(len(pairs))], 1))
-    system = LinearSystem(len(pairs), equalities=sparse(eqs), inequalities=sparse(ineqs))
-    return solve_feasibility(system).feasible
-
-
 def test_criterion_06_metrizability_crosschecks():
     for sys in enumerate_consistent(4):
         strict = is_strictly_metric(sys)
         # (i) strictly metric iff the strict LP with bound rows is feasible.
-        assert strict.strict == strict_lp_feasible(sys)
+        assert strict.strict == pair_lp_feasible(sys, slack=1)
         if strict.strict:
             # (ii) the realizing metric recovers exactly the colinear triples.
             assert triples_of_metric(strict.metric).triples == colinear_triples(sys).triples
@@ -215,7 +187,7 @@ def test_criterion_06_metrizability_crosschecks():
     assert sys == next(itertools.islice(enumerate_diam2(g), 80, None))
     assert is_consistent(sys)
     strict = is_strictly_metric(sys)
-    assert not strict.strict and not strict_lp_feasible(sys)
+    assert not strict.strict and not pair_lp_feasible(sys, slack=1)
     assert verify_witness(colinear_triples(sys), strict.witness)
     assert is_metric(sys) is not None
     report(6, "LP, realizability, induction, 200 random inductions, non-strict J_4 system agree")

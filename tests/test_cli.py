@@ -127,6 +127,8 @@ def test_metrize_test_modes(capsys, line4):
         doc = json.loads(out)
         assert doc.get("metric", doc.get("strictly_metric")) is True
     # "strict" is an alias of "pseudo": same verdict, same pseudometric.
+    # A strictly metric system's colinear set is its own closure, so
+    # "metric" answers with the same pseudometric.
     fixtures = importlib.resources.files("pathsystems") / "fixtures"
     for name in ("line4", "c4", "k3"):
         path = str(fixtures / f"{name}.json")
@@ -134,6 +136,8 @@ def test_metrize_test_modes(capsys, line4):
         assert outs[0] == outs[1]
         doc = json.loads(outs[0][1])
         assert doc["strictly_metric"] is True and "pseudometric" in doc
+        metric = json.loads(run(capsys, "metrize", "test", path, "--mode", "metric")[1])
+        assert metric["metric"] is True and metric["pseudometric"] == doc["pseudometric"]
 
 
 def test_metrize_witness_roundtrip(capsys, tmp_path):
@@ -510,7 +514,7 @@ PINNED_OUTPUT = {
     "metrize test line4.json":
         (0, "9b3f3569dae4dae5f35a030fd7cd25c520b452eae0bb2c4a170d22e739252e50"),
     "metrize test line4.json --mode metric":
-        (0, "41846476aa2ece7f524160cf6702388795b83b594880da4f2c25f0f707aada23"),
+        (0, "244a07e858229377d3aa464d96e8e0b931035a10564230da16a52aa2771776f8"),
     "metrize realize line4.json":
         (0, "ea225513fe8f3c9130764dffc89cb2161acd80ff5b800e7524053694fe2e8be7"),
     "check line4.json":
@@ -518,7 +522,7 @@ PINNED_OUTPUT = {
     "metrize test c4.json":
         (0, "3a02137767744780d7e5ae155fe7322c7550ec7e16f1940118a73d10139b704f"),
     "metrize test c4.json --mode metric":
-        (0, "b407cf9adbf8339bf3ef50226ac25d3fdf4de09bb75b9720619e24842ec8d08b"),
+        (0, "21035e3bfbbde4195ceb42e53f7377514d7ca6fdbba8e3c86cbca00532b1aee4"),
     "metrize realize c4.json":
         (0, "1af4a7a4900fea26a5e5819ad0dd87271d151349ed39a359e19d222ee92d8f5b"),
     "check c4.json":
@@ -531,6 +535,10 @@ PINNED_OUTPUT = {
         (0, "d55ebcb8020a5bb009b5df5065c1daff5f98648a361ad62c2203de00c821636b"),
     "check k3.json":
         (0, "1cd44b2e5f75644b7765109fa67d501e9e708727abf8fd1c728511831e661be3"),
+    "metrize test nonmetric7.json":
+        (0, "b3d98ed89de2bedd94385c39feeaa18f9bae2493bce86e099e84acb8af129946"),
+    "metrize test nonmetric7.json --mode metric":
+        (0, "ded6eb7e2034cd90213ad8a72d0ab04dccb40e2f6bbd15abcc719ba3ea691e12"),
     "--seed 5 gen bipartite --half-n 3":
         (0, "6a3c3b977545559daf55f6171d91743346d775f4c701d82ee4e7b840a4a774cf"),
     "--version":

@@ -1,4 +1,7 @@
+import importlib.resources
+import itertools
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -14,7 +17,10 @@ from pathsystems.core import (
     all_pointed_triples,
     colinear_triples,
     extract_resume,
+    pointed_triple,
 )
+from pathsystems.counting import enumerate_consistent
+from pathsystems.generators import enumerate_diam2, gen_join
 from pathsystems.metrize import (
     Pseudometric,
     WeightFunction,
@@ -35,7 +41,12 @@ from pathsystems.metrize import (
 from pathsystems.ratlp import solve_feasibility
 from pathsystems.rational import Q
 
-from oracles import closure_per_triple, induce_by_enumeration, integral_witness_search_per_candidate
+from oracles import (
+    closure_per_triple,
+    induce_by_enumeration,
+    integral_witness_search_per_candidate,
+    pair_lp_feasible,
+)
 from test_core import line_system
 
 
@@ -445,3 +456,61 @@ def test_integral_search_budget(monkeypatch):
     # The budget is checked before the closure's first realizability
     # round: no LP runs, and no node is explored.
     assert calls == [] and out.nodes == 0
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -math.inf], ids=["nan", "negative", "minus_inf"])
+def test_integral_search_refuses_a_nan_or_negative_budget(monkeypatch, budget):
+    # A NaN deadline compares false against every clock reading, so it
+    # would never stop the search; NaN and negative budgets are refused
+    # before any LP runs.
+    calls = _count_lps(monkeypatch)
+    ts, _ = golden_fixture()
+    with pytest.raises(ValueError, match="time_budget must be non-negative"):
+        integral_witness_search(ts, time_budget=budget)
+    assert calls == []
+
+
+def _fixture_system(name):
+    root = importlib.resources.files("pathsystems") / "fixtures"
+    return jsonio.system_from_json(json.loads((root / name).read_text()))
+
+
+def test_is_metric_matches_the_pair_lp_oracle():
+    # The closure's verdict against the LP with slack 0 and bound rows, on
+    # every consistent system on [3]-[5], the first 400 diameter-2 systems
+    # of J_4 (some not strictly metric) and the non-metric system on [7].
+    systems = itertools.chain(
+        *(enumerate_consistent(n) for n in (3, 4, 5)),
+        itertools.islice(enumerate_diam2(gen_join(4)), 400),
+        [_fixture_system("nonmetric7.json")],
+    )
+    answers = {True: 0, False: 0}
+    for sys in systems:
+        rho = is_metric(sys)
+        assert (rho is not None) == pair_lp_feasible(sys, slack=0)
+        if rho is not None:
+            # Positive and tight on the colinear set: every path is shortest.
+            assert rho.is_metric()
+            assert colinear_triples(sys).triples <= triples_of_metric(rho).triples
+        answers[rho is not None] += 1
+    assert answers == {True: 2725 + 400, False: 1}
+
+
+def test_nonmetric7_closure_forces_a_zero_distance():
+    sys = _fixture_system("nonmetric7.json")
+    colinear = colinear_triples(sys)
+    cl, rho = metrize._closure(colinear, math.inf)
+    assert (len(colinear), len(cl)) == (13, 27)
+    assert [p for p in all_pairs(7) if rho.value(*p) == 0] == [(3, 4)]
+    # {3,x;4} and {4,x;3} for every other x: Delta sums to 2 e_{3,4}.
+    for x in (1, 2, 5, 6, 7):
+        assert {pointed_triple(3, x, 4), pointed_triple(4, x, 3)} <= cl.triples
+    assert is_metric(sys) is None and not pair_lp_feasible(sys, slack=0)
+    strict = is_strictly_metric(sys)
+    assert not strict.strict and verify_witness(colinear, strict.witness)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_is_metric_without_a_third_vertex(n):
+    rho = is_metric(PathSystem(n, all_pairs(n)))
+    assert rho.scale == 1 and rho.scaled == (1,) * len(all_pairs(n))
