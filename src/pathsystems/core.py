@@ -172,7 +172,8 @@ class PathSystem:
             canon[key] = p
         missing = self.n * (self.n - 1) // 2 - len(canon)
         if missing:  # name a few: listing every missing pair is an n^2 error
-            pairs = itertools.combinations(range(1, self.n + 1), 2)
+            # A generator, not `combinations`, which copies its input first.
+            pairs = ((a, b) for a in range(1, self.n + 1) for b in range(a + 1, self.n + 1))
             shown = ", ".join(map(str, itertools.islice((p for p in pairs if p not in canon), 3)))
             more = ", ..." if missing > 3 else ""
             raise ValueError(f"no path for pairs {shown}{more} ({missing} missing)")

@@ -441,26 +441,29 @@ def _completion(n, triples, residual, rays, ix):
 
     `triples` are the candidates[ix:] of a search node.  A stored
     (tag, ray) with tag <= ix and ray . residual > 0 answers No without an
-    LP.  An LP's No stores its Farkas beta, which has beta . Delta_u <= 0
-    on every column u, as sparse integers (scaling keeps every sign) with
-    tag ix: beta . r > 0 rules r out over these columns.
+    LP.  Otherwise one LP over the pair variables beta asks the Farkas
+    alternative: -Delta_t . beta >= 0 for each t, and residual . beta >= 1.
+    A verified certificate lam combines the right-hand sides to exactly 1
+    (see `solve_feasibility`), so lam = 1 on the residual row, and lam on
+    the other rows is y.  A verified solution is a ray, beta . Delta_u <= 0
+    on every column u and beta . residual >= 1, stored as sparse integers
+    (scaling keeps every sign) with tag ix: beta . r > 0 rules r out over
+    these columns.
     """
     if any(tag <= ix and sum(b * residual[i] for i, b in ray) > 0 for tag, ray in rays):
         return None
     table = _delta_table(n)
-    rows = [[] for _ in residual]
-    for j, t in enumerate(triples):
-        for i, v in table[t]:
-            rows[i].append((j, v))
     # Tuples built from lists, kept as given by `LinearSystem` (see `ratlp._row`).
-    eqs = tuple([(tuple(row), r) for row, r in zip(rows, residual)])
-    system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
-    res = solve_feasibility(system)
+    rows = [(tuple([(i, -v) for i, v in table[t]]), 0) for t in triples]
+    rows.append((tuple([(i, r) for i, r in enumerate(residual) if r]), 1))
+    res = solve_feasibility(LinearSystem(len(residual), inequalities=tuple(rows)))
     if res.feasible:
-        return res.solution
-    beta, _ = scaled_to_integers(res.certificate.beta)
-    rays.append((ix, tuple((i, b) for i, b in enumerate(beta) if b)))
-    return None
+        beta, _ = scaled_to_integers(res.solution)
+        rays.append((ix, tuple((i, b) for i, b in enumerate(beta) if b)))
+        return None
+    *y, last = res.certificate.lam
+    ensure(last == 1, "completion certificate has lam = 1 on the residual row")
+    return y
 
 
 class _Budget(Exception):

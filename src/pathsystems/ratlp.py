@@ -1,40 +1,33 @@
 """Exact rational linear feasibility with Farkas infeasibility certificates.
 
 Constraints are <a,x> >= rhs (inequalities) and <a,x> = rhs (equalities)
-over free variables by default; `nonnegative_vars=True` constrains every
-variable to be >= 0 natively.  A row is sparse: a is a tuple of
-(variable, coefficient) entries, and a variable it leaves out has
-coefficient 0.
+over free variables; a sign constraint x_v >= 0 is the row ((v, 1),) >= 0.
+A row is sparse: a is a tuple of (variable, coefficient) entries, and a
+variable it leaves out has coefficient 0.
 
-Every question is answered by one phase-1 simplex run, on a tableau
-chosen by the variables' sign:
-
-* non-negative variables: the standard form of the system itself; a
-  zero optimum gives the solution, a positive one gives the certificate
-  from the duals;
-* free variables: the Farkas certificate system, with one row per
-  variable plus one; a certificate proves infeasibility, and its absence
-  leaves duals that yield a primal witness.
-
-A system without rows is solved by the zero vector.  `maximize` asks one
-more feasibility question: by LP duality, a primal solution and row
-multipliers with no duality gap prove each other optimal.
+Every question is answered by one phase-1 simplex run on the Farkas
+certificate system, with one row per variable plus one: a certificate
+proves infeasibility, and its absence leaves duals that yield a primal
+witness.  A system without rows is solved by the zero vector.
+`maximize` asks one more feasibility question: by LP duality, a primal
+solution and row multipliers with no duality gap prove each other
+optimal.
 
 The simplex runs over integers only.  `LinearSystem` keeps a row of
 ints as given and stores any other row (Fraction, float or str
 coefficients) once, as `Q` entries times the lcm of their denominators.
 The simplex is revised: it takes the constraint matrix as sparse integer
-columns, which each route builds once from the rows' entries, and keeps
-only [B^-1 | B^-1 b] over integers.  Pricing is
+columns, built once from the rows' entries, and keeps only
+[B^-1 | B^-1 b] over integers.  Pricing is
 cyclic, and the leaving row comes from the lexicographic ratio test of
 Dantzig, Orden and Wolfe (1955), which rules out cycling under any
 entering rule.  The verdicts do not depend on the pivot rule; the
 solution or certificate returned may.
 
-On either route every returned witness is re-checked against all
-constraints, and every certificate is re-verified, before being
-returned.  The re-checks sum over the rows' entries in integers and
-raise `VerificationError` on failure, also under `python -O`.
+Every returned witness is re-checked against all constraints, and every
+certificate is re-verified, before being returned.  The re-checks sum
+over the rows' entries in integers and raise `VerificationError` on
+failure, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -95,7 +88,6 @@ class LinearSystem:
     equalities: tuple = ()
     inequalities: tuple = ()
     objective: tuple | None = None
-    nonnegative_vars: bool = False
 
     def __post_init__(self):
         V = self.num_vars
@@ -114,9 +106,8 @@ class FarkasCertificate:
     """Multipliers proving infeasibility.
 
     lam (one per inequality, >= 0) and beta (one per equality, free)
-    combine the constraint rows to the zero vector, or to a vector <= 0
-    componentwise for systems declared with nonnegative_vars, while
-    combining the right-hand sides to something positive.
+    combine the constraint rows to the zero vector while combining the
+    right-hand sides to something positive.
     """
 
     lam: tuple = ()
@@ -282,15 +273,13 @@ class _Tableau:
 
 
 # ---------------------------------------------------------------------------
-# Verification and the two routes
+# Verification and feasibility
 # ---------------------------------------------------------------------------
 
 
 def _check_solution(system, x):
     """Exact check of x against every row, summed over the row's entries,
     with x and the right-hand sides scaled by the lcm L of x's denominators."""
-    if system.nonnegative_vars and any(xi < 0 for xi in x):
-        return False
     ints, L = scaled_to_integers(x)
     for a, b in system.equalities:
         if sum([c * ints[v] for v, c in a]) != b * L:
@@ -304,11 +293,10 @@ def _check_solution(system, x):
 def verify_certificate(system, cert):
     """Exact Farkas check, independent of how the certificate was found.
 
-    The multipliers must combine the rows to 0 (to <= 0 componentwise when
-    the variables are non-negative) and the right-hand sides to a positive
-    number.  They are scaled to integers by the lcm of their denominators,
-    which keeps every sign.  Each row adds over its entries; zero
-    multipliers are skipped, as they add exactly 0.
+    The multipliers must combine the rows to 0 and the right-hand sides to
+    a positive number.  They are scaled to integers by the lcm of their
+    denominators, which keeps every sign.  Each row adds over its entries;
+    zero multipliers are skipped, as they add exactly 0.
     """
     n_eq, n_ineq = len(system.equalities), len(system.inequalities)
     if len(cert.lam) != n_ineq or len(cert.beta) != n_eq:
@@ -323,47 +311,22 @@ def verify_certificate(system, cert):
             for v, c in a:
                 combo[v] += mult * c
             total += mult * b
-    if system.nonnegative_vars:
-        if any(c > 0 for c in combo):
-            return False
-    elif any(c != 0 for c in combo):
-        return False
-    return total > 0
+    return not any(combo) and total > 0
 
 
-def _feasibility_direct(system):
-    """Phase 1 on the standard form of a system over non-negative variables.
+def solve_feasibility(system):
+    """Exact feasibility verdict with witness or Farkas certificate.
 
-    One pass over the rows' entries builds the columns of A, negating row
-    i where its right-hand side is negative (sign_i = -1); inequality i
-    adds a surplus column whose one entry is -sign_i.
+    A system without rows is solved by the zero vector.  Otherwise phase 1
+    searches for a Farkas certificate, and its absence yields a primal
+    witness.  The certificate system has one row per variable plus one for
+    the right-hand sides, and one non-negative column, the row's entries
+    and (V, b), per inequality and two per equality (beta = beta+ - beta-).
+    Its right-hand side is 0 except for a 1 in row V, so a certificate
+    combines the right-hand sides to exactly 1.
     """
-    n_eq = len(system.equalities)
-    rows = system.equalities + system.inequalities
-    signs = [-1 if b < 0 else 1 for _, b in rows]
-    cols = [[] for _ in range(system.num_vars)]
-    for i, ((a, _), sign) in enumerate(zip(rows, signs)):
-        for v, c in a:
-            cols[v].append((i, sign * c))
-    cols += [[(i, -signs[i])] for i in range(n_eq, len(rows))]
-    tab = _Tableau(cols, [s * b for s, (_, b) in zip(signs, rows)])
-    if tab.phase1() == 0:
-        x = tuple(tab.solution()[: system.num_vars])
-        ensure(_check_solution(system, x), "direct-route solution")
-        return FeasibilityResult(True, solution=x)
-    u = [sign * y for sign, y in zip(signs, tab.duals())]
-    cert = FarkasCertificate(lam=tuple(u[n_eq:]), beta=tuple(u[:n_eq]))
-    ensure(verify_certificate(system, cert), "direct-route Farkas certificate")
-    return FeasibilityResult(False, certificate=cert)
-
-
-def _feasibility_via_dual(system):
-    """Search for a Farkas certificate; its absence yields a primal witness.
-
-    The certificate system has one row per variable plus one for the
-    right-hand sides, and one non-negative column, the row's entries and
-    (V, b), per inequality and two per equality (beta = beta+ - beta-).
-    """
+    if not system.equalities and not system.inequalities:
+        return FeasibilityResult(True, solution=(ZERO,) * system.num_vars)
     V, n_ineq = system.num_vars, len(system.inequalities)
     cols = [(*a, (V, b)) if b else a for a, b in system.inequalities]
     for a, b in system.equalities:
@@ -384,29 +347,16 @@ def _feasibility_via_dual(system):
     return FeasibilityResult(True, solution=x)
 
 
-def solve_feasibility(system):
-    """Exact feasibility verdict with witness or Farkas certificate.
-
-    A system without rows is solved by the zero vector; otherwise the
-    variables' sign picks the route.
-    """
-    if not system.equalities and not system.inequalities:
-        return FeasibilityResult(True, solution=(ZERO,) * system.num_vars)
-    if system.nonnegative_vars:
-        return _feasibility_direct(system)
-    return _feasibility_via_dual(system)
-
-
 def maximize(system):
     """Exact maximum of the objective c.x, proved by LP duality.
 
-    Give row r a multiplier m_r, >= 0 on the inequalities.  When
-    c + sum_r m_r a_r is 0 (<= 0 componentwise for non-negative x), every
-    feasible x has c.x <= -sum_r m_r b_r.  So a z = (x, m) that meets the
-    primal rows, that stationarity, and the gap row c.x + sum_r m_r b_r >= 0
-    proves x optimal; `solve_feasibility` finds z and re-checks it.  When
-    no such z exists, the system is infeasible or unbounded, and
-    `solve_feasibility(system)` tells which.
+    The variables are free, like every variable here.  Give row r a
+    multiplier m_r, >= 0 on the inequalities.  When c + sum_r m_r a_r is
+    0, every feasible x has c.x <= -sum_r m_r b_r.  So a z = (x, m) that
+    meets the primal rows, that stationarity, and the gap row
+    c.x + sum_r m_r b_r >= 0 proves x optimal; `solve_feasibility` finds
+    z and re-checks it.  When no such z exists, the system is infeasible
+    or unbounded, and `solve_feasibility(system)` tells which.
     """
     c = system.objective
     if c is None:
@@ -418,14 +368,9 @@ def maximize(system):
     # Over the V + R variables (x, m), a row of the system keeps its entries.
     eqs, ineqs = list(system.equalities), list(system.inequalities)
     ineqs += [(((V + r, 1),), 0) for r in range(n_eq, R)]
-    if system.nonnegative_vars:
-        ineqs += [(((j, 1),), 0) for j in range(V)]
     for j in range(V):
         grad = [(V + r, x) for r, (a, _) in enumerate(rows) for v, x in a if v == j]
-        if system.nonnegative_vars:
-            ineqs.append(([(k, -g) for k, g in grad], c[j]))
-        else:
-            eqs.append((grad, -c[j]))
+        eqs.append((grad, -c[j]))
     gap = [(j, cj) for j, cj in enumerate(c) if cj]
     ineqs.append((gap + [(V + r, b) for r, (_, b) in enumerate(rows) if b], 0))
     dual = solve_feasibility(

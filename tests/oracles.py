@@ -9,7 +9,8 @@ independently of the repeated realizability of `pathsystems.metrize.closure`.
 `integral_witness_search_per_candidate` is the integral witness search
 over `closure_per_triple`, with one LP per node and no cut reuse: the
 same tree as `pathsystems.metrize.integral_witness_search`, decided
-without its stored Farkas rays and solutions.  `FractionTableau` is the
+without its stored Farkas rays and solutions, each node by phase 1 of
+`FractionTableau` on the completion's standard form.  `FractionTableau` is the
 dense simplex tableau over rationals that the sparse integer
 `pathsystems.ratlp._Tableau` replaced, with the same phase-1 pivot rule
 and a phase 2 by Bland's rule;
@@ -362,12 +363,13 @@ def closure_per_triple(S):
 def _completion_feasible(n, triples, residual):
     """Exists y >= 0 over `triples` with sum y_t Delta_t = residual?
 
-    The rows are the transpose of the dense columns `delta(t, n)`.
+    Phase 1 of `FractionTableau` on that standard form, with column t the
+    dense `delta(t, n)` and each row negated where its residual entry is
+    negative, so that the right-hand side is >= 0.
     """
-    cols = [delta(t, n) for t in triples]
-    eqs = sparse(([col[i] for col in cols], r) for i, r in enumerate(residual))
-    system = LinearSystem(num_vars=len(triples), equalities=eqs, nonnegative_vars=True)
-    return solve_feasibility(system).feasible
+    signs = [-1 if r < 0 else 1 for r in residual]
+    cols = [[(i, s * x) for i, (s, x) in enumerate(zip(signs, delta(t, n))) if x] for t in triples]
+    return FractionTableau(cols, [s * r for s, r in zip(signs, residual)]).phase1() == 0
 
 
 class _Budget(Exception):
@@ -594,17 +596,16 @@ class FractionTableau:
 def maximize_two_phase(system):
     """Exact maximum of the objective by the two-phase simplex.
 
-    Free variables are split as x = x+ - x-, each inequality gets a
-    surplus column, and rows with a negative right-hand side are negated.
+    Each variable is split as x = x+ - x-, each inequality gets a surplus
+    column, and rows with a negative right-hand side are negated.
     Phase 1 decides feasibility; phase 2 minimizes -c from its basis.
     """
     V = system.num_vars
     n_eq, n_ineq = len(system.equalities), len(system.inequalities)
-    nonneg = system.nonnegative_vars
     c = system.objective
 
     def split(a):
-        return list(a) if nonneg else [*a, *(-x for x in a)]
+        return [*a, *(-x for x in a)]
 
     def dense(entries):
         a = [0] * V
@@ -622,7 +623,7 @@ def maximize_two_phase(system):
         rhs.append(sign * b)
     if not rows:
         # Unconstrained: bounded only if no coordinate can raise c.x.
-        if any(cj > 0 if nonneg else cj != 0 for cj in c):
+        if any(c):
             return OptimizeResult("unbounded")
         return OptimizeResult("optimal", value=ZERO, solution=(ZERO,) * V)
     cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*rows)]
@@ -634,6 +635,6 @@ def maximize_two_phase(system):
     if tab.run(tab.n) == "unbounded":
         return OptimizeResult("unbounded")
     z = tab.solution()
-    x = tuple(z[:V]) if nonneg else tuple(z[v] - z[V + v] for v in range(V))
+    x = tuple(z[v] - z[V + v] for v in range(V))
     value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
     return OptimizeResult("optimal", value=value, solution=x)

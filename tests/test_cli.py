@@ -366,6 +366,7 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         (("closure",), [3], "has no attribute"),
         (("check",), {"n": 3, "paths": [{"vertices": [1, 2]}]}, "no path for pairs"),
         (("check",), {"n": 2000, "paths": []}, "no path for pairs (1, 2), (1, 3), (1, 4), ..."),
+        (("check",), {"n": 10**12, "paths": []}, "no path for pairs (1, 2), (1, 3), (1, 4), ..."),
         (("closure",), {"n": 3.5, "triples": []}, "vertex count 3.5 is not"),
         (("metrize", "witness"), {"n": 3.5, "triples": []}, "vertex count 3.5 is not"),
         (("resume", "recover"), {"n": 3.5, "entries": []}, "vertex count 3.5 is not"),
@@ -403,6 +404,7 @@ def test_malformed_json_reports_position(tmp_path, capsys):
         "wrong_document_type",
         "bad_value",
         "no_paths_n_2000",
+        "no_paths_n_trillion",
         "fractional_n_closure",
         "fractional_n_witness",
         "fractional_n_resume",

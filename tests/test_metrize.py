@@ -406,25 +406,31 @@ def test_integral_search_matches_per_candidate_oracle(ts):
 
 
 def test_integral_search_of_golden_set_reuses_cuts(monkeypatch):
-    # 68 nodes, 20 LPs: 2 for the closure, the rest at nodes that no
+    # 68 nodes, 17 LPs: 2 for the closure, the rest at nodes that no
     # stored ray or solution answers.
     calls = _count_lps(monkeypatch)
     ts, _ = golden_fixture()
     out = integral_witness_search(ts)
     assert (out.status, out.nodes) == ("not_found", 68)
-    assert len(calls) == 20
+    assert len(calls) == 17
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_triple_sets())
 def test_integral_search_completions_stay_in_the_closure(ts):
-    # Completion LPs (over non-negative variables) have one column per
-    # triple of their universe, which is cl(S).
+    # A completion LP, the only one without equalities, is the Farkas
+    # alternative over the pair variables: one row -Delta_t >= 0 per
+    # triple of its universe, which lies in cl(S), then residual >= 1.
     size = len(closure(ts))
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_lps(mp)
         integral_witness_search(ts)
-    assert all(c.num_vars <= size for c in calls if c.nonnegative_vars)
+    completions = [c for c in calls if not c.equalities]
+    assert completions
+    for c in completions:
+        k = len(c.inequalities) - 1
+        assert c.num_vars == len(all_pairs(ts.n)) and k <= size
+        assert [b for _, b in c.inequalities] == [0] * k + [1]
 
 
 def test_integral_search_realizable_set_has_none():

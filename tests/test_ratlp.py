@@ -32,9 +32,13 @@ def satisfies(system, x):
     for entries, rhs in system.inequalities:
         if sum(c * x[v] for v, c in entries) < rhs:
             return False
-    if system.nonnegative_vars and any(v < 0 for v in x):
-        return False
     return True
+
+
+def sign_rows(nv):
+    """The dense rows x_j >= 0 of nv variables: how a system asks for
+    non-negative variables."""
+    return [(tuple(int(k == j) for k in range(nv)), 0) for j in range(nv)]
 
 
 def test_feasible_equalities():
@@ -54,19 +58,20 @@ def test_infeasible_has_certificate():
     assert verify_certificate(system, res.certificate)
 
 
-def test_nonnegative_route():
-    system = LinearSystem(2, equalities=sparse((((1, 1), 1),)), nonnegative_vars=True)
+def test_nonnegative_variables_as_sign_rows():
+    # x + y = 1 over x, y >= 0 is feasible; x + y = -1 is not, and its
+    # certificate combines the sign rows with the equality to 0.
+    system = LinearSystem(2, equalities=sparse((((1, 1), 1),)), inequalities=sparse(sign_rows(2)))
     res = solve_feasibility(system)
     assert res.feasible and satisfies(system, res.solution)
-    system = LinearSystem(2, equalities=sparse((((1, 1), -1),)), nonnegative_vars=True)
+    system = LinearSystem(2, equalities=sparse((((1, 1), -1),)), inequalities=sparse(sign_rows(2)))
     res = solve_feasibility(system)
     assert not res.feasible
     assert verify_certificate(system, res.certificate)
 
 
 def test_dual_route_many_rows():
-    # Free variables take the certificate-search route, here with more
-    # inequality rows than variables.
+    # The certificate-search route with more inequality rows than variables.
     rows = tuple(((1, k), Q(k)) for k in range(0, 6))
     system = LinearSystem(2, inequalities=sparse(rows))
     res = solve_feasibility(system)
@@ -77,9 +82,8 @@ def test_maximize_optimal():
     # max x + y s.t. x <= 2, y <= 3 (as -x >= -2, -y >= -3), x,y >= 0.
     system = LinearSystem(
         2,
-        inequalities=sparse((((-1, 0), -2), ((0, -1), -3))),
+        inequalities=sparse((((-1, 0), -2), ((0, -1), -3), *sign_rows(2))),
         objective=(1, 1),
-        nonnegative_vars=True,
     )
     res = maximize(system)
     assert res.status == "optimal"
@@ -87,30 +91,32 @@ def test_maximize_optimal():
 
 
 def test_maximize_unbounded():
-    system = LinearSystem(1, objective=(1,), nonnegative_vars=True)
+    system = LinearSystem(1, inequalities=sparse(sign_rows(1)), objective=(1,))
     res = maximize(system)
     assert res.status == "unbounded"
 
 
 def test_maximize_infeasible():
     system = LinearSystem(
-        1, equalities=sparse((((1,), -1),)), objective=(1,), nonnegative_vars=True
+        1, equalities=sparse((((1,), -1),)), inequalities=sparse(sign_rows(1)), objective=(1,)
     )
     assert maximize(system).status == "infeasible"
 
 
-def test_maximize_without_rows_over_nonnegative_vars():
+def test_maximize_without_rows_and_over_sign_rows_only():
     # max -3y over x, y >= 0: the origin is optimal, nothing is unbounded.
-    system = LinearSystem(2, objective=(0, -3), nonnegative_vars=True)
+    system = LinearSystem(2, inequalities=sparse(sign_rows(2)), objective=(0, -3))
     res = maximize(system)
     assert res.status == "optimal" and res.value == 0
+    # Without rows, -3y is unbounded, and the zero objective's optimum is 0.
+    assert maximize(LinearSystem(2, objective=(0, -3))).status == "unbounded"
+    res = maximize(LinearSystem(2, objective=(0, 0)))
+    assert (res.status, res.value) == ("optimal", 0)
 
 
 def test_exact_rationals_no_drift():
     # A system engineered to need fractional pivots.
-    system = LinearSystem(
-        2, equalities=sparse((((3, 7), 1), ((2, -5), 1))), nonnegative_vars=False
-    )
+    system = LinearSystem(2, equalities=sparse((((3, 7), 1), ((2, -5), 1))))
     res = solve_feasibility(system)
     assert res.feasible
     x, y = res.solution
@@ -122,18 +128,16 @@ small_entries = st.integers(min_value=-4, max_value=4)
 
 @st.composite
 def integer_systems(draw, max_vars=10, max_rows=30):
-    """Systems of up to max_vars variables and max_rows small integer rows."""
+    """Systems of up to max_vars variables and max_rows small integer rows,
+    drawn with or without the sign rows of every variable after them."""
     nv = draw(st.integers(min_value=1, max_value=max_vars))
     row = st.tuples(st.lists(small_entries, min_size=nv, max_size=nv).map(tuple), small_entries)
     n_eq = draw(st.integers(min_value=0, max_value=max_rows))
     eqs = draw(st.lists(row, max_size=n_eq))
     ineqs = draw(st.lists(row, max_size=max_rows - len(eqs)))
-    return LinearSystem(
-        nv,
-        equalities=sparse(eqs),
-        inequalities=sparse(ineqs),
-        nonnegative_vars=draw(st.booleans()),
-    )
+    if draw(st.booleans()):
+        ineqs += sign_rows(nv)
+    return LinearSystem(nv, equalities=sparse(eqs), inequalities=sparse(ineqs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,7 +160,6 @@ def as_rationals(system):
         system.num_vars,
         equalities=rows(system.equalities),
         inequalities=rows(system.inequalities),
-        nonnegative_vars=system.nonnegative_vars,
     )
 
 
@@ -211,7 +214,8 @@ small_rationals = st.builds(Q, small_entries, st.sampled_from([1, 1, 1, 2, 3]))
 @st.composite
 def rational_system_args(draw, with_objective=False):
     """The `LinearSystem` arguments of a rational system of up to 5
-    variables and 14 rows, its rows as drawn, made sparse by `sparse`.
+    variables and 14 rows, its rows as drawn, made sparse by `sparse`,
+    drawn with or without the sign rows of every variable after them.
 
     An equality may be repeated with a factor -2, -1 or 2, so the
     artificial of the copy can stay basic at level 0 after phase 1 (the
@@ -225,6 +229,8 @@ def rational_system_args(draw, with_objective=False):
         (a, b), k = draw(st.sampled_from(eqs)), draw(st.sampled_from([-2, -1, 2]))
         eqs.insert(draw(st.integers(0, len(eqs))), (tuple(k * x for x in a), k * b))
     ineqs = draw(st.lists(row, max_size=7))
+    if draw(st.booleans()):
+        ineqs += sign_rows(nv)
     objective = None
     if with_objective:
         objective = tuple(draw(st.lists(small_rationals, min_size=nv, max_size=nv)))
@@ -233,7 +239,6 @@ def rational_system_args(draw, with_objective=False):
         equalities=sparse(eqs),
         inequalities=sparse(ineqs),
         objective=objective,
-        nonnegative_vars=draw(st.booleans()),
     )
 
 
@@ -255,7 +260,7 @@ def integral_rows_as_ints(rows):
 @given(rational_system_args())
 def test_linear_system_scales_each_rational_row_once(args):
     given_rows = {k: integral_rows_as_ints(args[k]) for k in ("equalities", "inequalities")}
-    system = LinearSystem(args["num_vars"], nonnegative_vars=args["nonnegative_vars"], **given_rows)
+    system = LinearSystem(args["num_vars"], **given_rows)
     pairs = zip(
         given_rows["equalities"] + given_rows["inequalities"],
         system.equalities + system.inequalities,
@@ -271,22 +276,16 @@ def test_linear_system_scales_each_rational_row_once(args):
         assert stored == tuple(k * x for x in row)
     res = solve_feasibility(system)
     if res.feasible:
-        unscaled = SimpleNamespace(nonnegative_vars=system.nonnegative_vars, **given_rows)
+        unscaled = SimpleNamespace(**given_rows)
         assert satisfies(unscaled, res.solution)
 
 
-# Systems over no variables, with free and with non-negative variables:
-# the direct route's tableau has only surplus columns, and the via-dual
-# route's columns have length 1.  0 >= -1 holds; 0 >= 1/2 fails.
+# Systems over no variables: the tableau's columns have length 1.
+# 0 >= -1 holds; 0 >= 1/2 fails.
 NO_VARIABLES = LinearSystem(0, inequalities=sparse((((), -1),)))
 NO_VARIABLES_INFEASIBLE = LinearSystem(
     0, equalities=sparse((((), 0),)), inequalities=sparse((((), -1), ((), Q(1, 2))))
 )
-ZERO_VARIABLE_EXAMPLES = [
-    dataclasses.replace(system, nonnegative_vars=nonnegative)
-    for system in (NO_VARIABLES, NO_VARIABLES_INFEASIBLE)
-    for nonnegative in (False, True)
-]
 
 
 def with_fraction_tableau(solve, system):
@@ -296,10 +295,8 @@ def with_fraction_tableau(solve, system):
 
 @settings(max_examples=300, deadline=None)
 @given(rational_systems())
-@example(ZERO_VARIABLE_EXAMPLES[0])
-@example(ZERO_VARIABLE_EXAMPLES[1])
-@example(ZERO_VARIABLE_EXAMPLES[2])
-@example(ZERO_VARIABLE_EXAMPLES[3])
+@example(NO_VARIABLES)
+@example(NO_VARIABLES_INFEASIBLE)
 def test_feasibility_matches_fraction_oracle(system):
     assert solve_feasibility(system) == with_fraction_tableau(solve_feasibility, system)
 
@@ -318,23 +315,21 @@ def pivots(tableau, system):
     return made
 
 
-# The rows are stored scaled by 2 and by 6, to (1, 2) = 2 and (2, -6) >= 1.
+# The rows are stored scaled by 2 and by 6, to (1, 2) = 2 and (2, -6) >= 1;
+# the sign rows x, y >= 0 follow.
 MIXED_DENOMINATORS = LinearSystem(
     2,
     equalities=sparse((((Q(1, 2), 1), 1),)),
-    inequalities=sparse((((Q(1, 3), -1), Q(1, 6)),)),
-    nonnegative_vars=True,
+    inequalities=sparse((((Q(1, 3), -1), Q(1, 6)), *sign_rows(2))),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(rational_systems())
 @example(MIXED_DENOMINATORS)
-@example(dataclasses.replace(MIXED_DENOMINATORS, nonnegative_vars=False))
-@example(ZERO_VARIABLE_EXAMPLES[0])
-@example(ZERO_VARIABLE_EXAMPLES[1])
-@example(ZERO_VARIABLE_EXAMPLES[2])
-@example(ZERO_VARIABLE_EXAMPLES[3])
+@example(dataclasses.replace(MIXED_DENOMINATORS, inequalities=MIXED_DENOMINATORS.inequalities[:1]))
+@example(NO_VARIABLES)
+@example(NO_VARIABLES_INFEASIBLE)
 def test_revised_tableau_pivots_like_fraction_oracle(system):
     assert pivots(ratlp._Tableau, system) == pivots(FractionTableau, system)
 
@@ -372,13 +367,10 @@ def assert_no_cycle_and_rechecked(system):
         assert verify_certificate(system, res.certificate)
 
 
-# Free variables give the via-dual tableau: its right-hand side is 0 in
-# every row but the normalising one, so nearly every pivot is degenerate.
-via_dual_systems = integer_systems().map(lambda s: dataclasses.replace(s, nonnegative_vars=False))
-
-
+# The certificate tableau's right-hand side is 0 in every row but the
+# normalising one, so nearly every pivot is degenerate.
 @settings(max_examples=100, deadline=None)
-@given(via_dual_systems)
+@given(integer_systems())
 def test_phase1_repeats_no_basis_on_degenerate_systems(system):
     assert_no_cycle_and_rechecked(system)
 
@@ -411,15 +403,14 @@ def test_strict_lps_of_j4_stay_within_their_pivot_total():
     assert sum(len(run_recorded(system)[1]) - 1 for system in strict_lps_of_j4()) <= 7283
 
 
-def test_rechecks_reject_a_trillionth_on_both_routes():
+def test_rechecks_reject_a_trillionth():
     eps = Q(1, 10**12)
-    for nonnegative in (True, False):
+    for signs in (sign_rows(2), []):
         # Feasible: x + 2y = 3, x - y >= 0.
         system = LinearSystem(
             2,
             equalities=sparse((((1, 2), 3),)),
-            inequalities=sparse((((1, -1), 0),)),
-            nonnegative_vars=nonnegative,
+            inequalities=sparse((((1, -1), 0), *signs)),
         )
         x = solve_feasibility(system).solution
         assert ratlp._check_solution(system, x)
@@ -429,12 +420,11 @@ def test_rechecks_reject_a_trillionth_on_both_routes():
         system = LinearSystem(
             2,
             equalities=sparse((((1, 1), 1),)),
-            inequalities=sparse((((1, 1), 2),)),
-            nonnegative_vars=nonnegative,
+            inequalities=sparse((((1, 1), 2), *signs)),
         )
         cert = solve_feasibility(system).certificate
         assert verify_certificate(system, cert)
-        moved = ratlp.FarkasCertificate(lam=(cert.lam[0] + eps,), beta=cert.beta)
+        moved = ratlp.FarkasCertificate(lam=(cert.lam[0] + eps, *cert.lam[1:]), beta=cert.beta)
         assert not verify_certificate(system, moved)
 
 
@@ -454,19 +444,21 @@ def test_maximize_matches_fraction_oracle(system):
 O_SCRIPT = textwrap.dedent(
     """
     import json
-    from pathsystems import VerificationError, ratlp
+    from pathsystems import VerificationError, metrize, ratlp
     from pathsystems.ratlp import LinearSystem, solve_feasibility
 
     assert False, "asserts must be stripped"
-    x, y = ((0, 1),), ((0, 1), (1, 1))  # the rows x and x + y
-    direct = [  # non-negative variables: the direct route
-        LinearSystem(2, equalities=((y, 3),), nonnegative_vars=True),
-        LinearSystem(1, equalities=((x, 1),), inequalities=((x, 2),), nonnegative_vars=True),
-    ]
-    via_dual = [  # free variables: the via-dual route
+    x = ((0, 1),)  # the row x
+    systems = [  # feasible, then infeasible
         LinearSystem(1, inequalities=((x, 1), (x, 2), (((0, -1),), -5))),
         LinearSystem(1, inequalities=((x, 1), (x, 2), (((0, -1),), -1))),
     ]
+    # Search completions over the triples of [3]: Delta_{1,2;3} has one
+    # (the LP is infeasible), -Delta_{1,2;3} has none (the LP gives a ray).
+    d = list(metrize.delta((1, 2, 3), 3))
+    residuals = [d, [-v for v in d]]
+    triples = list(metrize._delta_table(3))
+
     def corrupt(read):
         def wrong(tab):
             values = read(tab)
@@ -476,13 +468,15 @@ O_SCRIPT = textwrap.dedent(
 
     ratlp._Tableau.solution = corrupt(ratlp._Tableau.solution)
     ratlp._Tableau.duals = corrupt(ratlp._Tableau.duals)
-    messages = []
-    for system in direct + via_dual:
+    def outcome(call, arg):
         try:
-            solve_feasibility(system)
-            messages.append(None)
+            call(arg)
+            return None
         except VerificationError as e:
-            messages.append(str(e))
+            return str(e)
+
+    messages = [outcome(solve_feasibility, system) for system in systems]
+    messages += [outcome(lambda r: metrize._completion(3, triples, r, [], 0), r) for r in residuals]
     print(json.dumps(messages))
     """
 )
@@ -495,8 +489,8 @@ def test_rechecks_raise_under_python_O():
     out = subprocess.run(
         [sys.executable, "-O", "-c", O_SCRIPT], env=env, capture_output=True, text=True, check=True
     ).stdout
-    direct_ok, direct_cert, dual_ok, dual_cert = json.loads(out)
-    assert direct_ok == "re-check failed: direct-route solution"
-    assert direct_cert == "re-check failed: direct-route Farkas certificate"
+    dual_ok, dual_cert, completion, ray = json.loads(out)
     assert dual_ok.startswith("re-check failed: via-dual")
     assert dual_cert == "re-check failed: via-dual Farkas certificate"
+    assert completion == "re-check failed: via-dual Farkas certificate"
+    assert ray.startswith("re-check failed: via-dual")
