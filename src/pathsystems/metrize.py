@@ -121,19 +121,22 @@ class Pseudometric:
     The distances are stored as one integer tuple `scaled`, in `all_pairs(n)`
     order, over one positive denominator `scale`: the lcm of their
     denominators, so the pair is unique.  `distances` gives them as one
-    tuple of rationals, `d` as a new {pair: distance} dict.
+    tuple of rationals, `d` as a new {pair: distance} dict.  `values` maps
+    each pair to its distance, or is `scaled` itself when `scale` is given.
     """
 
     __slots__ = ("n", "scaled", "scale")
 
-    def __init__(self, n, values):
+    def __init__(self, n, values, scale=None):
         self.n = int(n)
-        scaled, self.scale = scaled_to_integers([Q(values[p]) for p in all_pairs(self.n)])
+        if scale is None:
+            values, scale = scaled_to_integers([Q(values[p]) for p in all_pairs(self.n)])
         # Distances repeat (a strict metric on J_4 has 28 of them but about
         # 7 distinct values); one shared object per value keeps a metric
         # small.  Integers are immutable, so sharing is safe.
         shared = {}
-        self.scaled = tuple([shared.setdefault(v, v) for v in scaled])
+        self.scaled = tuple([shared.setdefault(v, v) for v in values])
+        self.scale = scale
         self.validate()
 
     @property
@@ -208,13 +211,15 @@ class WitnessAlpha(dict):
 
     Two different coefficients for one canonical triple are refused, a
     zero among them; zeros are not stored.  Equal coefficients share one
-    object: a witness has few distinct values.
+    object (1 is `ONE`): a witness has few distinct values, and no __dict__.
     """
+
+    __slots__ = ()
 
     def __init__(self, items=()):
         super().__init__()
         given = {}
-        shared = {}
+        shared = {ONE: ONE}
         source = items.items() if isinstance(items, dict) else items
         for t, v in source:
             v = Q(v)
@@ -326,13 +331,16 @@ def is_strictly_metric(sys):
     return StrictnessResult(res.realizable, metric=res.metric, witness=res.witness)
 
 
-def triples_of_metric(rho):
-    """T(rho): pointed triples where the triangle inequality is tight,
-    compared on the stored integers."""
-    d = rho.scaled
-    table = _delta_table(rho.n)
+def _tight(rho):
+    """The `_delta_table` keys where rho is tight, compared in integers."""
+    d, table = rho.scaled, _delta_table(rho.n)
     tight = [t for t, ((ac, _), (cb, _), (ab, _)) in table.items() if d[ac] + d[cb] == d[ab]]
-    return TripleSet(rho.n, frozenset(tight))
+    return frozenset(tight)
+
+
+def triples_of_metric(rho):
+    """T(rho), the tight triples, as a TripleSet."""
+    return TripleSet(rho.n, _tight(rho))
 
 
 def realize_weights(sys, rho):
@@ -413,11 +421,27 @@ def induce_system(w):
 
 
 def is_realizable(S):
-    """Is S exactly the colinear triple set of some pseudometric?"""
+    """Is S exactly the colinear triple set of some pseudometric?  Not if
+    betweenness changes S: its first derivation Delta_p + Delta_q = Delta_t
+    + Delta_u (p, q in S) makes S - {p, q} + {t, u} the witness, with no LP.
+    """
+    first = _betweenness_closure(S)[1]
+    if first is None:
+        return _realize(S)
+    (p, q), derived = first
+    coeffs = dict.fromkeys(S.triples - {p, q}, 1)
+    coeffs.update({t: 1 + coeffs.get(t, 0) for t in derived})
+    witness = WitnessAlpha(coeffs)
+    ensure(verify_witness(S, witness), "two-term witness")
+    return RealizabilityResult(False, witness=witness)
+
+
+def _realize(S):
+    """`is_realizable(S)` by the LP `build_lp(S)`; a Yes's tight set is S."""
     res = solve_feasibility(build_lp(S))
     if res.feasible:
-        rho = Pseudometric(S.n, dict(zip(all_pairs(S.n), res.solution)))
-        ensure(triples_of_metric(rho).triples == S.triples, "pseudometric realizes the triple set")
+        rho = Pseudometric(S.n, res.scaled, res.scale)
+        ensure(_tight(rho) == S.triples, "pseudometric realizes the triple set")
         return RealizabilityResult(True, metric=rho)
     return RealizabilityResult(False, witness=_farkas_to_alpha(S, res.certificate))
 
@@ -458,8 +482,7 @@ def _completion(n, triples, residual, rays, ix):
     rows.append((tuple([(i, r) for i, r in enumerate(residual) if r]), 1))
     res = solve_feasibility(LinearSystem(len(residual), inequalities=tuple(rows)))
     if res.feasible:
-        beta, _ = scaled_to_integers(res.solution)
-        rays.append((ix, tuple((i, b) for i, b in enumerate(beta) if b)))
+        rays.append((ix, tuple((i, b) for i, b in enumerate(res.scaled) if b)))
         return None
     *y, last = res.certificate.lam
     ensure(last == 1, "completion certificate has lam = 1 on the residual row")
@@ -486,7 +509,8 @@ def integral_witness_search(S, time_budget=None):
     pseudometric rho is tight exactly on cl(S), and any y >= 0 with
     sum y_u Delta_u = sum over S of Delta_s gives sum y_u (Delta_u . rho)
     = 0, so y_u = 0 off cl(S): no witness, integral or fractional, leaves
-    cl(S).  A candidate that no fractional completion uses with y_t >= 1
+    cl(S), and a realizable S, its own closure, has none: no node is
+    explored.  A candidate that no fractional completion uses with y_t >= 1
     stays in the tree; its branches with c >= 1 die at their first LP or
     stored ray.
 
@@ -541,9 +565,9 @@ def integral_witness_search(S, time_budget=None):
         return None
 
     try:
-        within = _closure(S, deadline)[0].triples
-        candidates = [t for t in deltas if t in within]
-        found = recurse(0, m, list(target), ())
+        within = _closure(S, deadline)[0]
+        candidates = [t for t in deltas if t in within.triples]
+        found = None if within is S else recurse(0, m, list(target), ())
     except _Budget:
         return SearchOutcome("inconclusive", nodes=nodes)
     finally:
@@ -556,7 +580,7 @@ def integral_witness_search(S, time_budget=None):
 
 
 def _betweenness_closure(S):
-    """S closed under betweenness transitivity; S itself when already closed.
+    """S closed under betweenness transitivity, and its first derivation.
 
     If c lies between a and b, and x between a and c, then x lies between
     a and b, and c between x and b: Delta_{a,b;c} + Delta_{a,c;x} =
@@ -565,7 +589,9 @@ def _betweenness_closure(S):
     A worklist registers each triple in two indexes, the interior points
     of a pair and the far endpoints of a pair, then combines it with every
     registered triple in both roles.  Derived triples are the keys of
-    `_delta_table`.
+    `_delta_table`.  Returns (S, None) when S is closed, else the closure
+    and the first derivation ((p, q), (t, u)) that adds a triple, whose
+    parents are then in S.
     """
     n = S.n
     keys = _triple_keys(n)
@@ -573,32 +599,37 @@ def _betweenness_closure(S):
     interior = {}  # (a, b), a < b -> the c with {a,b;c} in the set
     far = {}  # (a, c) -> the b with c between a and b
     work = list(S.triples)
+    first = None
+
+    def key(a, b, c):
+        return keys[(a, b, c) if a < b else (b, a, c)]
 
     def add(a, b, c):
         t = keys[(a, b, c) if a < b else (b, a, c)]
-        if t not in triples:
-            triples.add(t)
-            work.append(t)
+        if t in triples:
+            return False
+        triples.add(t)
+        work.append(t)
+        return True
 
     while work:
-        a0, b0, c = work.pop()
+        p = work.pop()
+        a0, b0, c = p
         interior.setdefault((a0, b0), []).append(c)
         far.setdefault((a0, c), []).append(b0)
         far.setdefault((b0, c), []).append(a0)
         for a, b in ((a0, b0), (b0, a0)):
             # As the outer triple: c between a and b, x between a and c.
             for x in interior.get((a, c) if a < c else (c, a), ()):
-                if x != b:
-                    add(a, b, x)
-                    add(x, b, c)
+                if x != b and (add(a, b, x) | add(x, b, c)) and first is None:
+                    first = (p, key(a, c, x)), (key(a, b, x), key(x, b, c))
             # As the inner triple: c between a and b, b between a and y.
             for y in far.get((a, b), ()):
-                if y != c:
-                    add(a, y, c)
-                    add(c, y, b)
-    if len(triples) == len(S.triples):
-        return S
-    return TripleSet(n, frozenset(triples))
+                if y != c and (add(a, y, c) | add(c, y, b)) and first is None:
+                    first = (p, key(a, y, b)), (key(a, y, c), key(c, y, b))
+    if first is None:
+        return S, None
+    return TripleSet(n, frozenset(triples)), first
 
 
 def closure(S):
@@ -607,7 +638,7 @@ def closure(S):
 
     Before each realizability round the set is closed under betweenness
     transitivity (`_betweenness_closure`), which forces triples without
-    an LP.  A No from `is_realizable` carries a verified witness alpha,
+    an LP.  A No from the realizability LP carries a verified witness alpha,
     and every pseudometric tight on the set is tight on supp(alpha), which
     joins it.  The first Yes ends the loop: its pseudometric has slack on
     every other triple, so none is forced.  A closed S is returned itself.
@@ -623,8 +654,8 @@ def _closure(S, deadline):
     while True:
         if time.monotonic() >= deadline:
             raise _Budget
-        current = _betweenness_closure(current)
-        res = is_realizable(current)
+        current = _betweenness_closure(current)[0]
+        res = _realize(current)
         if res.realizable:
             return current, res.metric
         current = TripleSet(S.n, current.triples.union(res.witness))

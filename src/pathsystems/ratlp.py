@@ -8,7 +8,7 @@ variable it leaves out has coefficient 0.
 Every question is answered by one phase-1 simplex run on the Farkas
 certificate system, with one row per variable plus one: a certificate
 proves infeasibility, and its absence leaves duals that yield a primal
-witness.  A system without rows is solved by the zero vector.
+witness in integers.  A system without rows is solved by the zero vector.
 `maximize` asks one more feasibility question: by LP duality, a primal
 solution and row multipliers with no duality gap prove each other
 optimal.
@@ -116,9 +116,17 @@ class FarkasCertificate:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """A Yes's solution is the ints `scaled` over `scale` > 0, in lowest terms."""
+
     feasible: bool
-    solution: tuple | None = None
+    scaled: tuple | None = None
+    scale: int = 1
     certificate: FarkasCertificate | None = None
+
+    @property
+    def solution(self):
+        if self.scaled is not None:
+            return tuple([Q(v, self.scale) for v in self.scaled])
 
 
 @dataclass(frozen=True)
@@ -171,8 +179,8 @@ class _Tableau:
     artificials and the rhs, as numerators over cden.  Each step prices
     the columns cyclically with pi = cost_art - cden, from just after the
     last entering column up to the first negative one, forms B^-1 A_j,
-    and pivots at width m+1.  Rationals are built only when the optimum,
-    the solution or the duals are read.
+    and pivots at width m+1.  Rationals are built only when the optimum
+    or the solution is read; the duals are read as integers over cden.
 
     The leaving row is the lexicographic minimum of row_i / column_i over
     [B^-1 b | B^-1].  The initial rows (b_i, e_i) are lexicographically
@@ -260,9 +268,9 @@ class _Tableau:
             ensure(leave >= 0, "phase-1 objective is bounded below by 0")
             self.pivot(leave, enter, column, f)
 
-    def duals(self):
-        """Phase-1 dual vector y (length m), from artificial reduced costs."""
-        return [Q(self.cden - self.cost[i], self.cden) for i in range(self.m)]
+    def int_duals(self):
+        """The phase-1 duals y (length m) times cden > 0: integers."""
+        return [self.cden - c for c in self.cost[: self.m]]
 
     def solution(self):
         z = [ZERO] * self.n
@@ -277,10 +285,9 @@ class _Tableau:
 # ---------------------------------------------------------------------------
 
 
-def _check_solution(system, x):
-    """Exact check of x against every row, summed over the row's entries,
-    with x and the right-hand sides scaled by the lcm L of x's denominators."""
-    ints, L = scaled_to_integers(x)
+def _check_solution(system, ints, L):
+    """Exact check of x = ints / L (L > 0) against every row, summed over
+    the row's entries, with the right-hand sides scaled by L."""
     for a, b in system.equalities:
         if sum([c * ints[v] for v, c in a]) != b * L:
             return False
@@ -323,10 +330,11 @@ def solve_feasibility(system):
     the right-hand sides, and one non-negative column, the row's entries
     and (V, b), per inequality and two per equality (beta = beta+ - beta-).
     Its right-hand side is 0 except for a 1 in row V, so a certificate
-    combines the right-hand sides to exactly 1.
+    combines the right-hand sides to exactly 1.  A witness is read from
+    the duals y as x_v = -y_v / y_V, over one scale, in lowest terms.
     """
     if not system.equalities and not system.inequalities:
-        return FeasibilityResult(True, solution=(ZERO,) * system.num_vars)
+        return FeasibilityResult(True, scaled=(0,) * system.num_vars)
     V, n_ineq = system.num_vars, len(system.inequalities)
     cols = [(*a, (V, b)) if b else a for a, b in system.inequalities]
     for a, b in system.equalities:
@@ -339,12 +347,12 @@ def solve_feasibility(system):
         cert = FarkasCertificate(lam=tuple(z[:n_ineq]), beta=beta)
         ensure(verify_certificate(system, cert), "via-dual Farkas certificate")
         return FeasibilityResult(False, certificate=cert)
-    y = tab.duals()
-    t = y[V]
-    ensure(t > 0, "via-dual witness scale is positive")
-    x = tuple(-y[v] / t for v in range(V))
-    ensure(_check_solution(system, x), "via-dual solution")
-    return FeasibilityResult(True, solution=x)
+    nums = tab.int_duals()
+    ensure(nums[V] > 0, "via-dual witness scale is positive")
+    g = gcd(*nums[: V + 1])
+    x, scale = tuple([-v // g for v in nums[:V]]), nums[V] // g
+    ensure(_check_solution(system, x, scale), "via-dual solution")
+    return FeasibilityResult(True, scaled=x, scale=scale)
 
 
 def maximize(system):

@@ -70,7 +70,7 @@ from pathsystems.metrize import (
     triple_signature,
 )
 from pathsystems.ratlp import LinearSystem, OptimizeResult, solve_feasibility
-from pathsystems.rational import ONE, Q, ZERO, ensure
+from pathsystems.rational import ONE, Q, ZERO, ensure, scaled_to_integers
 
 
 def sparse(rows):
@@ -547,9 +547,11 @@ class FractionTableau:
             leave = min(rows, key=lambda i: [T[i][k] / T[i][enter] for k in order])
             self.pivot(leave, enter)
 
-    def duals(self):
-        """Phase-1 dual vector y (length m), from artificial reduced costs."""
-        return [ONE - self.cost[self.n + i] for i in range(self.m)]
+    def int_duals(self):
+        """The phase-1 duals y (length m), from the artificial reduced costs,
+        times the lcm of their denominators: integers, as
+        `pathsystems.ratlp._Tableau.int_duals` gives them."""
+        return scaled_to_integers([ONE - self.cost[self.n + i] for i in range(self.m)])[0]
 
     def solution(self):
         z = [ZERO] * self.n

@@ -140,6 +140,15 @@ def test_metrize_test_modes(capsys, line4):
         assert metric["metric"] is True and metric["pseudometric"] == doc["pseudometric"]
 
 
+def test_metrize_witness_of_a_betweenness_pair(capsys):
+    # {1,2;3} and {1,3;4} force {1,2;4} and {2,4;3}: Delta_{1,2;3} +
+    # Delta_{1,3;4} = Delta_{1,2;4} + Delta_{2,4;3} is the witness, no LP.
+    code, out = run(capsys, "metrize", "witness", str(cli.FIXTURES / "betweenness4.json"))
+    doc = json.loads(out)
+    assert code == 0 and doc["realizable"] is False and doc["witness_verified"] is True
+    assert jsonio.witness_from_json(doc["witness"]) == {(1, 2, 4): 1, (2, 4, 3): 1}
+
+
 def test_metrize_witness_roundtrip(capsys, tmp_path):
     import importlib.resources
 
@@ -513,6 +522,8 @@ PINNED_OUTPUT = {
         (0, "63daa6ee139365c2f5de688330db6bf9d550894a30fdb560af9b36d2107c1519"),
     "metrize witness paper_example.json":
         (0, "6c161eca589c3e7f8de3aaad1433aeb2261d17385d1140afab7f6a40640b9473"),
+    "metrize witness betweenness4.json":
+        (0, "3eb38d82cd752d82ec097a6e128c65b082ba4031d8be81352a00f5e0238464db"),
     "metrize test line4.json":
         (0, "9b3f3569dae4dae5f35a030fd7cd25c520b452eae0bb2c4a170d22e739252e50"),
     "metrize test line4.json --mode metric":

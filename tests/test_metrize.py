@@ -3,11 +3,12 @@ import itertools
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from pathsystems import jsonio, metrize
+from pathsystems import jsonio, metrize, ratlp
 from pathsystems.core import (
     Graph,
     PathSystem,
@@ -42,6 +43,7 @@ from pathsystems.ratlp import solve_feasibility
 from pathsystems.rational import Q
 
 from oracles import (
+    FractionTableau,
     closure_per_triple,
     induce_by_enumeration,
     integral_witness_search_per_candidate,
@@ -317,9 +319,9 @@ def test_closure_of_realizable_is_itself():
 
 
 @st.composite
-def triple_sets(draw, ns=(5, 6)):
+def triple_sets(draw, ns=(5, 6), max_size=8):
     n = draw(st.sampled_from(ns))
-    triples = draw(st.sets(st.sampled_from(all_pointed_triples(n)), max_size=8))
+    triples = draw(st.sets(st.sampled_from(all_pointed_triples(n)), max_size=max_size))
     return TripleSet(n, frozenset(triples))
 
 
@@ -343,9 +345,53 @@ def test_closure_shares_its_triples(ts):
 def test_betweenness_step_adds_only_forced_triples(ts):
     # Every triple the LP-free step adds is in the closure the per-triple
     # oracle decides, and a second step adds nothing.
-    step = metrize._betweenness_closure(ts)
+    step, first = metrize._betweenness_closure(ts)
     assert ts.triples <= step.triples <= closure_per_triple(ts).triples
-    assert metrize._betweenness_closure(step) is step
+    assert (step is ts) == (first is None)
+    assert metrize._betweenness_closure(step) == (step, None)
+
+
+def _lp_verdict_by_fraction_tableau(ts):
+    # The realizability LP of S, solved on the dense rational tableau.
+    with mock.patch.object(ratlp, "_Tableau", FractionTableau):
+        return solve_feasibility(metrize.build_lp(ts)).feasible
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple_sets(ns=(4, 5, 6)))
+@example(TripleSet(4, frozenset({(1, 2, 3), (1, 3, 4)})))
+def test_realizability_lp_runs_only_on_betweenness_closed_sets(ts):
+    # A set that betweenness changes is answered by the two-term witness
+    # of its first derivation, without an LP: integer coefficients summing
+    # to |S|.  A closed set poses exactly one LP.  Either way the verdict
+    # is the LP's, solved on the rational oracle tableau.
+    closed, first = metrize._betweenness_closure(ts)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_lps(mp)
+        res = is_realizable(ts)
+    assert len(calls) == (closed is ts)
+    assert res.realizable == _lp_verdict_by_fraction_tableau(ts)
+    if first is not None:
+        (p, q), derived = first
+        assert not res.realizable and verify_witness(ts, res.witness)
+        assert {p, q} <= ts.triples and not set(derived) <= ts.triples
+        assert all(v.denominator == 1 for v in res.witness.values())
+        assert sum(res.witness.values()) == len(ts)
+
+
+# Small sets, which are realizable more often.
+@settings(max_examples=60, deadline=None)
+@given(triple_sets(ns=(4, 5, 6), max_size=4))
+@example(TripleSet(3, frozenset({(1, 2, 3)})))
+def test_integral_search_grows_no_tree_on_a_realizable_set(ts):
+    # A realizable set is its own closure, found by one LP; no witness of
+    # any kind exists, so the search explores no node.
+    assume(is_realizable(ts).realizable)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_lps(mp)
+        out = integral_witness_search(ts)
+    assert out == metrize.SearchOutcome("not_found", nodes=0)
+    assert len(calls) == 1
 
 
 def test_closure_of_golden_set_matches_oracle():
@@ -401,8 +447,14 @@ DEAD_BRANCH_SETS = [
 @example(TripleSet(6, frozenset(DEAD_BRANCH_SETS[2])))
 def test_integral_search_matches_per_candidate_oracle(ts):
     # The stored cuts only skip LPs whose answer they prove: same status,
-    # same multiset, same tree.
-    assert integral_witness_search(ts) == integral_witness_search_per_candidate(ts)
+    # same multiset, same tree.  A realizable set needs no tree: the oracle
+    # searches its tree to the same not_found.
+    out, expected = integral_witness_search(ts), integral_witness_search_per_candidate(ts)
+    if closure_per_triple(ts) == ts:
+        assert out == metrize.SearchOutcome("not_found", nodes=0)
+        assert expected.status == "not_found"
+    else:
+        assert out == expected
 
 
 def test_integral_search_of_golden_set_reuses_cuts(monkeypatch):
@@ -426,7 +478,8 @@ def test_integral_search_completions_stay_in_the_closure(ts):
         calls = _count_lps(mp)
         integral_witness_search(ts)
     completions = [c for c in calls if not c.equalities]
-    assert completions
+    # A realizable set, its own closure, poses no completion LP.
+    assert bool(completions) == (size > len(ts))
     for c in completions:
         k = len(c.inequalities) - 1
         assert c.num_vars == len(all_pairs(ts.n)) and k <= size

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import FractionTableau, maximize_two_phase, sparse
 from pathsystems import metrize, ratlp
 from pathsystems.generators import enumerate_monotone, monotone_system
-from pathsystems.rational import Q
+from pathsystems.rational import Q, scaled_to_integers
 from pathsystems.ratlp import (
     LinearSystem,
     maximize,
@@ -362,7 +362,7 @@ def assert_no_cycle_and_rechecked(system):
     res, bases = run_recorded(system)
     assert len(set(bases)) == len(bases)
     if res.feasible:
-        assert ratlp._check_solution(system, res.solution)
+        assert ratlp._check_solution(system, res.scaled, res.scale)
     else:
         assert verify_certificate(system, res.certificate)
 
@@ -413,9 +413,9 @@ def test_rechecks_reject_a_trillionth():
             inequalities=sparse((((1, -1), 0), *signs)),
         )
         x = solve_feasibility(system).solution
-        assert ratlp._check_solution(system, x)
-        assert not ratlp._check_solution(system, (x[0] + eps, x[1]))
-        assert not ratlp._check_solution(system, (x[0], x[1] - eps))
+        assert ratlp._check_solution(system, *scaled_to_integers(x))
+        assert not ratlp._check_solution(system, *scaled_to_integers((x[0] + eps, x[1])))
+        assert not ratlp._check_solution(system, *scaled_to_integers((x[0], x[1] - eps)))
         # Infeasible: x + y = 1 and x + y >= 2.
         system = LinearSystem(
             2,
@@ -445,6 +445,7 @@ O_SCRIPT = textwrap.dedent(
     """
     import json
     from pathsystems import VerificationError, metrize, ratlp
+    from pathsystems.core import TripleSet
     from pathsystems.ratlp import LinearSystem, solve_feasibility
 
     assert False, "asserts must be stripped"
@@ -467,7 +468,7 @@ O_SCRIPT = textwrap.dedent(
         return wrong
 
     ratlp._Tableau.solution = corrupt(ratlp._Tableau.solution)
-    ratlp._Tableau.duals = corrupt(ratlp._Tableau.duals)
+    ratlp._Tableau.int_duals = corrupt(ratlp._Tableau.int_duals)
     def outcome(call, arg):
         try:
             call(arg)
@@ -477,6 +478,19 @@ O_SCRIPT = textwrap.dedent(
 
     messages = [outcome(solve_feasibility, system) for system in systems]
     messages += [outcome(lambda r: metrize._completion(3, triples, r, [], 0), r) for r in residuals]
+    # A realizable set's LP answer, then a set that betweenness changes,
+    # whose two-term witness gets one coefficient raised by 1.
+    messages.append(outcome(metrize.is_realizable, TripleSet(3, frozenset({(2, 3, 1)}))))
+    Witness = metrize.WitnessAlpha
+
+    def raised(coeffs):
+        alpha = Witness(coeffs)
+        alpha[next(iter(alpha))] += 1
+        return alpha
+
+    metrize.WitnessAlpha = raised
+    two_term = TripleSet(4, frozenset({(1, 2, 3), (1, 3, 4)}))
+    messages.append(outcome(metrize.is_realizable, two_term))
     print(json.dumps(messages))
     """
 )
@@ -489,8 +503,10 @@ def test_rechecks_raise_under_python_O():
     out = subprocess.run(
         [sys.executable, "-O", "-c", O_SCRIPT], env=env, capture_output=True, text=True, check=True
     ).stdout
-    dual_ok, dual_cert, completion, ray = json.loads(out)
+    dual_ok, dual_cert, completion, ray, realizable, two_term = json.loads(out)
     assert dual_ok.startswith("re-check failed: via-dual")
     assert dual_cert == "re-check failed: via-dual Farkas certificate"
     assert completion == "re-check failed: via-dual Farkas certificate"
     assert ray.startswith("re-check failed: via-dual")
+    assert realizable.startswith("re-check failed: via-dual")
+    assert two_term == "re-check failed: two-term witness"
